@@ -1,83 +1,11 @@
 """Socially fair low-rank approximation, column subset selection, and
-min-max regression via randomized sketching."""
+min-max regression via randomized sketching.
 
-from .css import CssSolution, bicriteria_fair_css, brute_force_css, css_budget
-from .experiments import (
-    DataError,
-    ExperimentReport,
-    IngestSpec,
-    TrialRecord,
-    emit_report,
-    ingest_csv,
-    parse_report_csv,
-    parse_report_json,
-    proof_of_concept_groups,
-    run_credit_lra,
-    run_dataset_lra,
-    run_proof_of_concept,
-    run_synthetic_lra,
-    synthetic_pair,
-)
-from .grouped import (
-    GroupedLabels,
-    GroupedMatrix,
-    fair_css_cost,
-    fair_lra_cost,
-    fair_lra_group_costs,
-    fair_regression_cost,
-    fair_regression_group_costs,
-    split_by_group,
-)
-from .linalg import (
-    NumericError,
-    SvdFactors,
-    best_rank_k,
-    least_squares_left,
-    norm_columns_p2,
-    norm_entrywise,
-    pseudoinverse,
-    svd,
-)
-from .lra import (
-    BicriteriaConfig,
-    FairLraSolution,
-    alternating_feasibility,
-    bicriteria_fair_lra,
-    bicriteria_fair_lra_timed,
-    binary_search_fair_lra,
-    eckart_young_lower_bound,
-    minmax_softening_exponent,
-    svd_baseline,
-)
-from .regression import (
-    FeasibilityModel,
-    OracleContractError,
-    RegressionSolution,
-    binary_search_fair_regression,
-    export_l1_feasibility,
-    export_l2_feasibility,
-    fair_regression_subgradient,
-    minmax_subgradient,
-    stacked_least_squares,
-)
-from .sampling import (
-    LeverageScores,
-    LewisWeights,
-    SamplingMatrix,
-    leverage_sampling_matrix,
-    leverage_scores,
-    lewis_sampling_matrix,
-    lewis_weights,
-)
-from .sketch import (
-    AffineEmbedding,
-    DvoretzkyEmbedding,
-    affine_embedding,
-    affine_embedding_cols,
-    dvoretzky_gaussian,
-    dvoretzky_right_embedding,
-    dvoretzky_rows_needed,
-    gaussian_abs_moment,
-)
+Exports the README quick start's names; import the rest from their modules.
+"""
+
+from .grouped import GroupedLabels, GroupedMatrix, fair_lra_cost
+from .lra import BicriteriaConfig, bicriteria_fair_lra, svd_baseline
+from .regression import export_l1_feasibility, export_l2_feasibility, minmax_subgradient
 
 __version__ = "0.1.0"

@@ -85,11 +85,7 @@ def _cmd_lra(args) -> int:
     data, _ = _ingest(args)
     print(f"groups: {data.ell} ({', '.join(data.labels)}), features: {data.d}, rows: {data.total_rows}")
     if args.trials > 1 or args.out:
-        report = run_dataset_lra(
-            data, k=args.k, trials=args.trials, seed=args.seed, p=args.p, c=args.c,
-            g_rows=args.g_rows, h_cols=args.h_cols,
-            lewis_iterations=args.lewis_iters, lewis_samples=args.lewis_samples,
-        )
+        report = run_dataset_lra(data, _config(args), trials=args.trials)
         agg = report.aggregates()
         print(f"trials: {agg['trials']}, mean ratio: {agg['mean_ratio']:.6g}, "
               f"min: {agg['min_ratio']:.6g}, max: {agg['max_ratio']:.6g}")

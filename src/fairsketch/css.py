@@ -35,10 +35,6 @@ class CssSolution:
     cost: float
     seed: int
 
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
 
 def css_budget(k: int, c_css: float = 1.0) -> int:
     """Column budget ceil(c_css * k * log(k + 1))."""

@@ -13,7 +13,8 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -96,10 +97,11 @@ class ExperimentReport:
 def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]]:
     """Read a header CSV into a grouped matrix (and optional targets).
 
-    Feature cells must parse as decimal reals; parse failures are reported
-    with their row and column. When ``feature_cols`` is unset, every column
-    except the group and label columns is used. Subsampling is uniform
-    without replacement, seeded, and applied before grouping.
+    Feature cells must parse as finite decimal reals; parse failures,
+    non-finite cells and rows shorter than the header are reported with their
+    row. When ``feature_cols`` is unset, every column except the group and
+    label columns is used. Subsampling is uniform without replacement,
+    seeded, and applied before grouping.
     """
     path = Path(spec.path)
     if not path.exists():
@@ -128,6 +130,9 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
         raise DataError(f"{path}: no feature columns left after excluding group/label")
     if not rows:
         raise DataError(f"{path}: no data rows")
+    if min(map(len, rows)) < len(header):
+        i = next(i for i, row in enumerate(rows) if len(row) < len(header))
+        raise DataError(f"{path}: row {i + 2} has {len(rows[i])} cells, the header has {len(header)}")
 
     if spec.row_limit is not None:
         rows = rows[: spec.row_limit]
@@ -145,15 +150,24 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
                 f"{path}: row {row_idx + 2}, column {name!r}: cannot parse {cell!r} as a real"
             ) from None
 
+    def require_finite(values: np.ndarray, names: Sequence[str]) -> None:
+        bad = np.argwhere(~np.isfinite(values.reshape(len(rows), -1)))
+        if bad.size:
+            i, j = bad[0]
+            cell = rows[i][col_of[names[j]]]
+            raise DataError(f"{path}: row {i + 2}, column {names[j]!r}: {cell!r} is not a finite real")
+
     features = np.array(
         [[parse_cell(i, row, name) for name in feature_cols] for i, row in enumerate(rows)]
     )
+    require_finite(features, feature_cols)
     group_labels = [row[col_of[spec.group_col]] for row in rows]
     data = split_by_group(features, group_labels)
 
     targets = None
     if spec.label_col is not None:
         y = np.array([parse_cell(i, row, spec.label_col) for i, row in enumerate(rows)])
+        require_finite(y, (spec.label_col,))
         _, buckets = group_indices(group_labels)
         targets = GroupedLabels.from_arrays(tuple(y[buckets[lbl]] for lbl in data.labels))
     return data, targets
@@ -211,37 +225,39 @@ def _bicrit_vs_baseline(
     )
 
 
+def _run_cell(
+    report: ExperimentReport, data: GroupedMatrix, cfg: BicriteriaConfig, trials: int, workers: int,
+    subsample: Optional[int] = None,
+) -> None:
+    """Append the seeded trials of one grid cell to ``report``.
+
+    Trial t runs ``cfg`` with the t-th seed derived from ``cfg.seed``. With
+    ``subsample`` set, each trial first draws that many rows per group using
+    its own seed.
+    """
+    first_index = len(report.records)
+
+    def trial(idx: int, ts: int) -> TrialRecord:
+        sub = data if subsample is None else _subsample_groups(data, subsample, np.random.default_rng(ts))
+        return _bicrit_vs_baseline(sub, replace(cfg, seed=ts), first_index + idx, subsample or 0)
+
+    seeds = _trial_seeds(cfg.seed, trials)
+    report.records.extend(_run_ordered([partial(trial, t, ts) for t, ts in enumerate(seeds)], workers))
+
+
 def run_dataset_lra(
-    data: GroupedMatrix,
-    k: int,
-    trials: int = 1,
-    seed: int = 0,
-    p: Optional[float] = None,
-    c: float = 0.5,
-    g_rows: int = 30,
-    h_cols: int = 30,
-    lewis_iterations: int = 10,
-    lewis_samples: Optional[int] = None,
-    workers: int = 1,
+    data: GroupedMatrix, cfg: BicriteriaConfig, trials: int = 1, workers: int = 1
 ) -> ExperimentReport:
-    """Seeded bicriteria-vs-baseline trials on caller-supplied grouped data."""
+    """Seeded bicriteria-vs-baseline trials of ``cfg`` on caller-supplied grouped data."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     report = ExperimentReport(
         name="dataset",
-        config={"k": k, "trials": trials, "seed": seed, "p": p, "c": c,
-                "g_rows": g_rows, "h_cols": h_cols,
-                "lewis_iterations": lewis_iterations, "lewis_samples": lewis_samples},
+        config={"k": cfg.k, "trials": trials, "seed": cfg.seed, "p": cfg.p, "c": cfg.c,
+                "g_rows": cfg.g_rows, "h_cols": cfg.h_cols,
+                "lewis_iterations": cfg.lewis_iterations, "lewis_samples": cfg.lewis_samples},
     )
-    seeds = _trial_seeds(seed, trials)
-    tasks = []
-    for t in range(trials):
-        cfg = BicriteriaConfig(
-            k=k, c=c, p=p, g_rows=g_rows, h_cols=h_cols,
-            lewis_iterations=lewis_iterations, lewis_samples=lewis_samples, seed=seeds[t],
-        )
-        tasks.append(lambda cfg=cfg, idx=t: _bicrit_vs_baseline(data, cfg, idx, 0))
-    report.records.extend(_run_ordered(tasks, workers))
+    _run_cell(report, data, cfg, trials, workers)
     return report
 
 
@@ -273,19 +289,9 @@ def run_synthetic_lra(
         },
     )
     cells = [(dim, float(p)) for dim in sketch_dims for p in ps]
-    index = 0
     for cell_idx, (dim, p) in enumerate(cells):
-        seeds = _trial_seeds(seed + cell_idx, trials)
-        tasks = []
-        for t in range(trials):
-            cfg = BicriteriaConfig(
-                k=k, p=p, g_rows=dim, h_cols=dim, lewis_samples=k, seed=seeds[t]
-            )
-            tasks.append(
-                lambda cfg=cfg, idx=index + t: _bicrit_vs_baseline(data, cfg, idx, 0)
-            )
-        report.records.extend(_run_ordered(tasks, workers))
-        index += trials
+        cfg = BicriteriaConfig(k=k, p=p, g_rows=dim, h_cols=dim, lewis_samples=k, seed=seed + cell_idx)
+        _run_cell(report, data, cfg, trials, workers)
     return report
 
 
@@ -362,37 +368,13 @@ def run_credit_lra(
             "g_rows": g_rows, "h_cols": h_cols, "lewis_iterations": lewis_iterations,
         },
     )
-    index = 0
+    sketch = {"p": 1.0, "g_rows": g_rows, "h_cols": h_cols, "lewis_iterations": lewis_iterations}
     for cell_idx, s in enumerate(s_grid):
-        seeds = _trial_seeds(seed + cell_idx, trials)
-        tasks = []
-        for t in range(trials):
-            def task(s=s, ts=seeds[t], idx=index + t):
-                rng = np.random.default_rng(ts)
-                sub = _subsample_groups(data, s, rng)
-                cfg = BicriteriaConfig(
-                    k=1, p=1.0, g_rows=g_rows, h_cols=h_cols,
-                    lewis_iterations=lewis_iterations, lewis_samples=1, seed=ts,
-                )
-                return _bicrit_vs_baseline(sub, cfg, idx, s)
-            tasks.append(task)
-        report.records.extend(_run_ordered(tasks, workers))
-        index += trials
+        cfg = BicriteriaConfig(k=1, lewis_samples=1, seed=seed + cell_idx, **sketch)
+        _run_cell(report, data, cfg, trials, workers, subsample=s)
     for cell_idx, k in enumerate(k_grid):
-        seeds = _trial_seeds(seed + 10_000 + cell_idx, trials)
-        tasks = []
-        for t in range(trials):
-            def task(k=k, ts=seeds[t], idx=index + t):
-                rng = np.random.default_rng(ts)
-                sub = _subsample_groups(data, s_for_k, rng)
-                cfg = BicriteriaConfig(
-                    k=k, p=1.0, g_rows=g_rows, h_cols=h_cols,
-                    lewis_iterations=lewis_iterations, lewis_samples=2 * k, seed=ts,
-                )
-                return _bicrit_vs_baseline(sub, cfg, idx, s_for_k)
-            tasks.append(task)
-        report.records.extend(_run_ordered(tasks, workers))
-        index += trials
+        cfg = BicriteriaConfig(k=k, lewis_samples=2 * k, seed=seed + 10_000 + cell_idx, **sketch)
+        _run_cell(report, data, cfg, trials, workers, subsample=s_for_k)
     return report
 
 

@@ -53,10 +53,8 @@ class BicriteriaConfig:
     ``lewis_samples`` is the row budget of the Lewis sampler and therefore
     the rank budget of the returned factor; it defaults to k so the output
     is directly comparable to the rank-k baseline. ``p`` overrides the
-    default exponent max(1, round(c * log(ell))). ``column_mode`` chooses
-    between using the full sketched matrix ("identity", the default) and
-    subsampling its columns by column Lewis weights ("lewis-columns").
-    ``repeats`` reruns the pipeline and keeps the cheapest solution.
+    default exponent max(1, round(c * log(ell))). ``repeats`` reruns the
+    pipeline and keeps the cheapest solution.
     """
 
     k: int
@@ -66,8 +64,6 @@ class BicriteriaConfig:
     h_cols: int = 30
     lewis_iterations: int = 10
     lewis_samples: Optional[int] = None
-    column_mode: str = "identity"
-    column_budget_const: float = 1.0
     seed: int = 0
     repeats: int = 1
 
@@ -82,8 +78,6 @@ class BicriteriaConfig:
             raise ValueError("sketch dimensions and iteration counts must be >= 1")
         if self.lewis_samples is not None and self.lewis_samples < 1:
             raise ValueError(f"lewis_samples must be >= 1, got {self.lewis_samples}")
-        if self.column_mode not in ("identity", "lewis-columns"):
-            raise ValueError(f"unknown column_mode {self.column_mode!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -114,7 +108,6 @@ class FairLraSolution:
     g_rows: int
     h_cols: int
     t_rows: int
-    s_cols: int
     p: float
     c: float
     baseline_fallback: bool = False
@@ -127,50 +120,26 @@ def svd_baseline(data: GroupedMatrix, k: int) -> np.ndarray:
     return best_rank_k(data.stacked(), k)
 
 
-def _pipeline_once(data: GroupedMatrix, cfg: BicriteriaConfig, seed: int) -> tuple[np.ndarray, dict]:
-    """One run of the sketch pipeline; returns the raw factor and phase info."""
-    A = data.stacked()
+def _pipeline_once(A: np.ndarray, p: float, cfg: BicriteriaConfig, seed: int) -> tuple[np.ndarray, int, dict]:
+    """One pipeline run on the stacked data: raw factor, sampled rows, phase times."""
     n, d = A.shape
-    p = cfg.exponent(data.ell)
     child = np.random.SeedSequence(seed).spawn(4)
     seeds = [int(s.generate_state(1)[0]) for s in child]
 
     t0 = time.perf_counter()
-    G = dvoretzky_gaussian(cfg.g_rows, n, p, seeds[0]).G
+    G = dvoretzky_gaussian(cfg.g_rows, n, p, seeds[0])
     H = dvoretzky_right_embedding(d, cfg.h_cols, p, seeds[1])
     GA = G @ A
     GAH = GA @ H
-    if cfg.column_mode == "lewis-columns":
-        budget = max(1, math.ceil(
-            cfg.column_budget_const * cfg.k * math.log(math.log(cfg.k + 2.0)) * math.log(d + 1.0) ** 2
-        ))
-        col_w = lewis_weights(GAH.T, p, cfg.lewis_iterations)
-        draw = lewis_sampling_matrix(col_w, budget, seeds[2])
-        cols = np.unique(draw.indices)
-        design = GAH[:, cols]
-        s_cols = int(cols.size)
-    else:
-        design = GAH
-        s_cols = GAH.shape[1]
-    w = lewis_weights(design, p, cfg.lewis_iterations)
+    w = lewis_weights(GAH, p, cfg.lewis_iterations)
     sampler = lewis_sampling_matrix(w, cfg.sample_count(), seeds[3])
-    sketched_design = sampler.apply(design)
+    sketched_design = sampler.apply(GAH)
     sketched_target = sampler.apply(GA)
     t1 = time.perf_counter()
 
     v_raw = pseudoinverse(sketched_design) @ sketched_target
     t2 = time.perf_counter()
-
-    info = {
-        "p": p,
-        "g_rows": cfg.g_rows,
-        "h_cols": cfg.h_cols,
-        "t_rows": sampler.sample_count,
-        "s_cols": s_cols,
-        "time_total": t2 - t0,
-        "time_extract": t2 - t1,
-    }
-    return v_raw, info
+    return v_raw, sampler.sample_count, {"time_total": t2 - t0, "time_extract": t2 - t1}
 
 
 def bicriteria_fair_lra(data: GroupedMatrix, cfg: BicriteriaConfig) -> FairLraSolution:
@@ -186,38 +155,34 @@ def bicriteria_fair_lra_timed(data: GroupedMatrix, cfg: BicriteriaConfig) -> tup
     factor-extraction phase; with repeats the times accumulate over runs.
     """
     A = data.stacked()
+    p = cfg.exponent(data.ell)
+    total = {"time_total": 0.0, "time_extract": 0.0}
     if not np.any(A):
         zero = np.zeros((1, data.d))
         sol = FairLraSolution(
             v_tilde=zero, t=0, cost=0.0, seed=cfg.seed, g_rows=cfg.g_rows,
-            h_cols=cfg.h_cols, t_rows=0, s_cols=0, p=cfg.exponent(data.ell), c=cfg.c,
+            h_cols=cfg.h_cols, t_rows=0, p=p, c=cfg.c,
         )
-        return sol, {"time_total": 0.0, "time_extract": 0.0}
+        return sol, total
 
     run_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.repeats)]
     best: Optional[FairLraSolution] = None
-    total = {"time_total": 0.0, "time_extract": 0.0}
     for rs in run_seeds:
-        v_raw, info = _pipeline_once(data, cfg, rs)
+        v_raw, t_rows, times = _pipeline_once(A, p, cfg, rs)
         v_tilde = orthonormal_rows(v_raw)
-        if v_tilde.shape[0] == 0:
+        t = v_tilde.shape[0]
+        if t == 0:
             v_tilde = np.zeros((1, data.d))
         cost = fair_lra_cost(data, v_tilde)
-        total["time_total"] += info["time_total"]
-        total["time_extract"] += info["time_extract"]
+        total["time_total"] += times["time_total"]
+        total["time_extract"] += times["time_extract"]
         if best is None or cost < best.cost:
             best = FairLraSolution(
-                v_tilde=v_tilde, t=int(svd(v_tilde).rank), cost=cost, seed=cfg.seed,
-                g_rows=info["g_rows"], h_cols=info["h_cols"], t_rows=info["t_rows"],
-                s_cols=info["s_cols"], p=info["p"], c=cfg.c,
+                v_tilde=v_tilde, t=t, cost=cost, seed=cfg.seed, g_rows=cfg.g_rows,
+                h_cols=cfg.h_cols, t_rows=t_rows, p=p, c=cfg.c,
             )
     assert best is not None
     return best, total
-
-
-def _orth_rows(M: np.ndarray) -> np.ndarray:
-    Q, _ = np.linalg.qr(M.T)
-    return Q.T
 
 
 def alternating_feasibility(
@@ -284,7 +249,7 @@ def alternating_feasibility(
         if per == 0:
             break
         init = best_V + (0.05 * 3.0 ** r) * rng.standard_normal(best_V.shape)
-        Q = _orth_rows(init)
+        Q = orthonormal_rows(init)
         for t in range(per):
             c = costs_sq(Q)
             m = float(c.max())
@@ -300,7 +265,7 @@ def alternating_feasibility(
             nrm = float(np.linalg.norm(T))
             step = 0.4 / (1.0 + t / 30.0)
             noise = 0.05 * 0.93 ** t * rng.standard_normal(Q.shape)
-            Q = _orth_rows(Q + (step * T / nrm if nrm > 1e-14 else 0.0) + noise)
+            Q = orthonormal_rows(Q + (step * T / nrm if nrm > 1e-14 else 0.0) + noise)
         c_final = float(costs_sq(Q).max())
         if c_final < best_cost:
             best_cost, best_V = c_final, Q
@@ -345,7 +310,7 @@ def binary_search_fair_lra(
     def make_solution(V: np.ndarray, cost: float, fallback: bool) -> FairLraSolution:
         return FairLraSolution(
             v_tilde=V, t=int(svd(V).rank), cost=cost, seed=seed, g_rows=0, h_cols=0,
-            t_rows=0, s_cols=0, p=0.0, c=0.0, baseline_fallback=fallback,
+            t_rows=0, p=0.0, c=0.0, baseline_fallback=fallback,
         )
 
     if alpha <= 0.0:

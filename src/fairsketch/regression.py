@@ -89,6 +89,15 @@ def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> Regress
     return _solution(data, labels, x, 0, "stacked", "l2")
 
 
+def _group_subgradient(A: np.ndarray, b: np.ndarray, x: np.ndarray, norm: str) -> np.ndarray:
+    """Subgradient of x -> ||A x - b|| (zero at an exact L2 fit)."""
+    r = A @ x - b
+    if norm == "l1":
+        return A.T @ np.sign(r)
+    nr = float(np.linalg.norm(r))
+    return A.T @ (r / nr) if nr > 0.0 else np.zeros(A.shape[1])
+
+
 def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, norm: str = "l2"):
     """Value and one subgradient of g(x) = max_i ||A_i x - b_i||.
 
@@ -99,14 +108,7 @@ def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, n
     x = as_vector(x, "x")
     vals = fair_regression_group_costs(data, labels, x, norm)
     j = int(np.argmax(vals))
-    A, b = data.groups[j], labels.targets[j]
-    r = A @ x - b
-    if norm == "l1":
-        grad = A.T @ np.sign(r)
-    else:
-        nr = float(np.linalg.norm(r))
-        grad = A.T @ (r / nr) if nr > 0.0 else np.zeros(data.d)
-    return float(vals[j]), grad
+    return float(vals[j]), _group_subgradient(data.groups[j], labels.targets[j], x, norm)
 
 
 def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
@@ -175,18 +177,6 @@ def minmax_subgradient(
     if x.shape[0] != data.d:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {data.d}")
 
-    def group_gradients(at: np.ndarray, active: np.ndarray) -> np.ndarray:
-        out = []
-        for j in active:
-            A, b = data.groups[int(j)], labels.targets[int(j)]
-            r = A @ at - b
-            if norm == "l1":
-                out.append(A.T @ np.sign(r))
-            else:
-                nr = float(np.linalg.norm(r))
-                out.append(A.T @ (r / nr) if nr > 0.0 else np.zeros(data.d))
-        return np.array(out)
-
     def max_cost(at: np.ndarray) -> float:
         return float(np.max(fair_regression_group_costs(data, labels, at, norm)))
 
@@ -221,7 +211,9 @@ def minmax_subgradient(
             if stall >= 40:
                 best_costs = fair_regression_group_costs(data, labels, x_best, norm)
                 active = np.nonzero(best_costs >= f_best - max(1e-10, 0.01 * gamma))[0]
-                v = _min_norm_in_hull(group_gradients(x_best, active))
+                v = _min_norm_in_hull(np.array([
+                    _group_subgradient(data.groups[j], labels.targets[j], x_best, norm) for j in active
+                ]))
                 nv = float(np.linalg.norm(v))
                 if nv > 1e-14:
                     x_best, f_best = line_search(x_best, -v / nv, f_best)
@@ -232,7 +224,7 @@ def minmax_subgradient(
                     break
                 continue
         j = int(np.argmax(costs))
-        s = group_gradients(x, np.array([j]))[0]
+        s = _group_subgradient(data.groups[j], labels.targets[j], x, norm)
         ns = float(s @ s)
         if ns <= 1e-30:
             break  # zero subgradient: x is optimal for the active group

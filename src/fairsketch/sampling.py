@@ -42,9 +42,6 @@ class LewisWeights:
     iterations: int
     residual: float
 
-    def __len__(self) -> int:
-        return int(self.weights.shape[0])
-
 
 @dataclass(frozen=True)
 class SamplingMatrix:
@@ -99,11 +96,11 @@ def leverage_scores(M) -> LeverageScores:
     return LeverageScores(scores=s, rank=f.rank)
 
 
-def _keep_probabilities(scores: np.ndarray, n: int, boost: float = 1.0) -> np.ndarray:
+def _keep_probabilities(scores: np.ndarray, n: int) -> np.ndarray:
     # log base 2, clamped so a single-row matrix still keeps its row: a row
     # with full leverage must survive or the sampler loses unbiasedness.
     log_factor = math.log2(max(n, 2))
-    return np.minimum(1.0, scores * log_factor * boost)
+    return np.minimum(1.0, scores * log_factor)
 
 
 def leverage_sampling_matrix(scores: LeverageScores, n: int, seed: int) -> SamplingMatrix:

@@ -25,51 +25,23 @@ def gaussian_abs_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class DvoretzkyEmbedding:
-    """Scaled Gaussian m x n matrix G embedding L2 into entrywise Lp.
+def dvoretzky_gaussian(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
+    """Draw a scaled Gaussian rows x cols matrix G embedding L2 into entrywise Lp.
 
-    Entries are i.i.d. N(0, 1) divided by m^(1/p) * gamma_p, where gamma_p
+    Entries are i.i.d. N(0, 1) divided by rows^(1/p) * gamma_p, where gamma_p
     is the p-th root of the Gaussian absolute moment. The scale calibrates
     the p-th moment exactly: E||G y||_p^p = ||y||_2^p for every y.
-    """
-
-    G: np.ndarray
-    p: float
-    epsilon: float
-    seed: int
-
-    @property
-    def rows(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.G.shape[1]
-
-    def apply(self, M) -> np.ndarray:
-        return self.G @ np.asarray(M, dtype=np.float64)
-
-
-def dvoretzky_gaussian(rows: int, cols: int, p: float, seed: int, epsilon: float = 0.5) -> DvoretzkyEmbedding:
-    """Draw a scaled Gaussian L2-to-Lp embedding.
 
     Parameters
     ----------
     rows, cols : int
         Shape of the sketch matrix; ``cols`` must match the dimension of the
-        vectors (or matrix rows) being sketched.
+        vectors (or matrix rows) being sketched. ``dvoretzky_rows_needed``
+        sizes ``rows`` for a target distortion.
     p : float
         Target entrywise norm, p >= 1.
     seed : int
         RNG seed; the draw is a pure function of (seed, rows, cols, p).
-    epsilon : float, optional
-        Target distortion recorded for diagnostics; it does not affect the
-        draw itself (use ``dvoretzky_rows_needed`` to size ``rows``).
-
-    Returns
-    -------
-    DvoretzkyEmbedding
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"rows and cols must be >= 1, got {rows} x {cols}")
@@ -77,18 +49,17 @@ def dvoretzky_gaussian(rows: int, cols: int, p: float, seed: int, epsilon: float
         raise ValueError(f"p must be >= 1, got {p}")
     gamma_p = gaussian_abs_moment(p) ** (1.0 / p)
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((rows, cols)) / (rows ** (1.0 / p) * gamma_p)
-    return DvoretzkyEmbedding(G=G, p=float(p), epsilon=float(epsilon), seed=int(seed))
+    return rng.standard_normal((rows, cols)) / (rows ** (1.0 / p) * gamma_p)
 
 
-def dvoretzky_right_embedding(rows: int, cols: int, p: float, seed: int, epsilon: float = 0.5) -> np.ndarray:
+def dvoretzky_right_embedding(rows: int, cols: int, p: float, seed: int) -> np.ndarray:
     """Transpose-side instance: a d x d' matrix H for sketching row spaces.
 
     ``rows`` is the ambient dimension d and ``cols`` the sketch width d'.
     H is the transpose of a ``dvoretzky_gaussian(cols, rows, ...)`` draw, so
     x -> x @ H embeds length-d row vectors.
     """
-    return dvoretzky_gaussian(cols, rows, p, seed, epsilon).G.T
+    return dvoretzky_gaussian(cols, rows, p, seed).T
 
 
 def dvoretzky_rows_needed(n: int, p: float, eps: float, c_dv: float = 1.0) -> int:

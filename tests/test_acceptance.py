@@ -121,7 +121,7 @@ def test_criterion_6_dvoretzky_distortion():
         for _ in range(200):
             y = rng.standard_normal(10)
             y /= np.linalg.norm(y)
-            val = float(np.sum(np.abs(emb.G @ y) ** p) ** (1.0 / p))
+            val = float(np.sum(np.abs(emb @ y) ** p) ** (1.0 / p))
             hits += 0.4 <= val <= 1.6
         assert hits >= 0.9 * 200, f"p={p}: {hits}/200 within range"
 

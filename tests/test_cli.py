@@ -97,3 +97,25 @@ def test_missing_credit_csv_exit_code(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "UCI" in err
+
+
+def test_short_row_is_data_error(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("a,b,grp\n1.0,2.0,m\n3.0,f\n")
+    rc = main(["lra", str(path), "--group-col", "grp", "--k", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "row 3" in err and "2 cells" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["b", "y"])
+def test_non_finite_cell_is_data_error(tmp_path, capsys, cell, column):
+    rows = [["1.0", "2.0", "m", "0.5"], ["3.0", "4.0", "f", "1.5"], ["5.0", "6.0", "m", "2.5"]]
+    rows[1][{"b": 1, "y": 3}[column]] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,grp,y\n" + "".join(",".join(r) + "\n" for r in rows))
+    rc = main(["regress", str(path), "--group-col", "grp", "--features", "a,b", "--label-col", "y"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"row 3, column '{column}'" in err and repr(cell) in err

@@ -20,6 +20,7 @@ from fairsketch.experiments import (
     synthetic_pair,
 )
 from fairsketch.grouped import fair_lra_cost
+from fairsketch.lra import BicriteriaConfig
 
 
 def write_csv(path, header, rows):
@@ -212,8 +213,8 @@ class TestEmit:
 
 def test_run_dataset_lra_direct():
     data = synthetic_pair()
-    report = run_dataset_lra(data, k=2, trials=5, seed=4, p=1.0, g_rows=3, h_cols=3, lewis_samples=2)
+    report = run_dataset_lra(data, BicriteriaConfig(k=2, p=1.0, g_rows=3, h_cols=3, lewis_samples=2, seed=4), trials=5)
     assert len(report.records) == 5
     assert report.aggregates()["mean_ratio"] < 1.5
-    again = run_dataset_lra(data, k=2, trials=5, seed=4, p=1.0, g_rows=3, h_cols=3, lewis_samples=2)
+    again = run_dataset_lra(data, BicriteriaConfig(k=2, p=1.0, g_rows=3, h_cols=3, lewis_samples=2, seed=4), trials=5)
     assert [r.ratio for r in report.records] == [r.ratio for r in again.records]

@@ -72,7 +72,7 @@ class TestBicriteria:
         for samples in (1, 2, 3):
             cfg = BicriteriaConfig(k=2, g_rows=5, h_cols=5, lewis_samples=samples, seed=7)
             sol = bicriteria_fair_lra(data, cfg)
-            assert sol.t <= min(sol.t_rows, sol.s_cols)
+            assert sol.t <= min(sol.t_rows, sol.h_cols)
             assert sol.t <= samples
             assert sol.cost == pytest.approx(fair_lra_cost(data, sol.v_tilde), abs=1e-9)
             # orthogonal projection never inflates a group's energy
@@ -87,14 +87,6 @@ class TestBicriteria:
         boosted = BicriteriaConfig(k=2, g_rows=3, h_cols=3, seed=11, repeats=8)
         best = bicriteria_fair_lra(data, boosted)
         assert best.cost <= a.cost + 1e-12
-
-    def test_lewis_columns_mode(self):
-        rng = np.random.default_rng(5)
-        data = GroupedMatrix.from_arrays((rng.standard_normal((6, 8)), rng.standard_normal((4, 8))))
-        cfg = BicriteriaConfig(k=2, g_rows=6, h_cols=6, column_mode="lewis-columns", seed=9)
-        sol = bicriteria_fair_lra(data, cfg)
-        assert sol.s_cols <= 6
-        assert np.isfinite(sol.cost)
 
 
 class TestAlternatingFeasibility:

@@ -22,7 +22,7 @@ def test_gaussian_abs_moment_known_values():
 class TestDvoretzkyGaussian:
     def test_zero_vector(self):
         emb = dvoretzky_gaussian(20, 5, 3, seed=0)
-        out = emb.apply(np.zeros((5, 1)))
+        out = emb @ np.zeros((5, 1))
         assert float(np.sum(np.abs(out) ** 3) ** (1 / 3)) == 0.0
 
     def test_invalid_p(self):
@@ -33,7 +33,7 @@ class TestDvoretzkyGaussian:
         # mean of ||G e1||_2^2 over many seeds concentrates at 1
         vals = []
         for seed in range(1000):
-            G = dvoretzky_gaussian(8, 5, 2, seed=seed).G
+            G = dvoretzky_gaussian(8, 5, 2, seed=seed)
             vals.append(float(np.sum(G[:, 0] ** 2)))
         assert 0.9 <= np.mean(vals) <= 1.1
 
@@ -44,20 +44,20 @@ class TestDvoretzkyGaussian:
         for _ in range(200):
             y = rng.standard_normal(10)
             y /= np.linalg.norm(y)
-            val = np.sum(np.abs(emb.G @ y) ** 4) ** 0.25
+            val = np.sum(np.abs(emb @ y) ** 4) ** 0.25
             hits += 0.5 <= val <= 1.5
         assert hits >= 0.95 * 200
 
     def test_determinism(self):
-        a = dvoretzky_gaussian(6, 4, 2.5, seed=11).G
-        b = dvoretzky_gaussian(6, 4, 2.5, seed=11).G
+        a = dvoretzky_gaussian(6, 4, 2.5, seed=11)
+        b = dvoretzky_gaussian(6, 4, 2.5, seed=11)
         assert np.array_equal(a, b)
-        c = dvoretzky_gaussian(6, 4, 2.5, seed=12).G
+        c = dvoretzky_gaussian(6, 4, 2.5, seed=12)
         assert not np.array_equal(a, c)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        G = dvoretzky_gaussian(7, 5, 3, seed=5).G
+        G = dvoretzky_gaussian(7, 5, 3, seed=5)
         A, B = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         assert np.allclose(G @ (A + B), G @ A + G @ B, atol=1e-12)
         assert np.allclose(G @ (2.5 * A), 2.5 * (G @ A), atol=1e-12)
@@ -137,7 +137,7 @@ def test_two_sided_application_distortion():
         seeds = range(30)
         for seed in seeds:
             M = rng.standard_normal((10, 8))
-            G = dvoretzky_gaussian(200, 10, p, seed=3 * seed).G
+            G = dvoretzky_gaussian(200, 10, p, seed=3 * seed)
             H = dvoretzky_right_embedding(8, 200, p, seed=3 * seed + 1)
             val = np.sum(np.abs(G @ M @ H) ** p) ** (1.0 / p)
             ratio = val / np.linalg.norm(M, "fro")
