@@ -84,7 +84,7 @@ def _config(args) -> BicriteriaConfig:
 def _cmd_lra(args) -> int:
     data, _ = _ingest(args)
     print(f"groups: {data.ell} ({', '.join(data.labels)}), features: {data.d}, rows: {data.total_rows}")
-    if args.trials > 1 or args.out:
+    if args.trials != 1 or args.out:
         report = run_dataset_lra(data, _config(args), trials=args.trials)
         agg = report.aggregates()
         print(f"trials: {agg['trials']}, mean ratio: {agg['mean_ratio']:.6g}, "
@@ -151,7 +151,6 @@ def _cmd_experiment(args) -> int:
         ps = [float(x) for x in args.p_grid.split(",")] if args.p_grid else list(range(1, 11))
         report = run_synthetic_lra(
             trials=args.trials, sketch_dims=dims, ps=ps, k=args.k, seed=args.seed,
-            workers=args.workers,
         )
     elif args.suite == "poc":
         report = run_proof_of_concept()
@@ -162,10 +161,7 @@ def _cmd_experiment(args) -> int:
         spec = IngestSpec(path=args.csv, group_col=args.group_col or "SEX", feature_cols=features, seed=args.seed)
         s_grid = [int(x) for x in args.s_grid.split(",")] if args.s_grid else list(range(2, 22))
         k_grid = [int(x) for x in args.k_grid.split(",")] if args.k_grid else list(range(1, 9))
-        report = run_credit_lra(
-            spec, s_grid=s_grid, k_grid=k_grid, trials=args.trials, seed=args.seed,
-            workers=args.workers,
-        )
+        report = run_credit_lra(spec, s_grid=s_grid, k_grid=k_grid, trials=args.trials, seed=args.seed)
     agg = report.aggregates()
     print(f"suite: {report.name}, trials: {agg['trials']}")
     if agg["trials"]:
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--s-grid", help="comma-separated subsample sizes (credit)")
     p_exp.add_argument("--k-grid", help="comma-separated ranks (credit)")
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--out", help="report output path")
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_exp.set_defaults(func=_cmd_experiment)

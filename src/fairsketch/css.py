@@ -25,6 +25,9 @@ from .linalg import pseudoinverse
 from .lra import BicriteriaConfig, bicriteria_fair_lra
 from .sampling import _keep_probabilities, leverage_scores
 
+COLUMN_DRAWS = 8  # column draws before the selector gives up on an empty sample
+MAX_SUBSETS = 100_000  # largest C(d, k) that brute_force_css will enumerate
+
 
 @dataclass(frozen=True)
 class CssSolution:
@@ -33,55 +36,49 @@ class CssSolution:
     indices: tuple
     factors: tuple
     cost: float
-    seed: int
 
 
-def css_budget(k: int, c_css: float = 1.0) -> int:
-    """Column budget ceil(c_css * k * log(k + 1))."""
-    return max(1, math.ceil(c_css * k * math.log(k + 1.0)))
+def css_budget(k: int) -> int:
+    """Column budget ceil(k * log(k + 1))."""
+    return max(1, math.ceil(k * math.log(k + 1.0)))
 
 
-def bicriteria_fair_css(
-    data: GroupedMatrix,
-    cfg: BicriteriaConfig,
-    c_css: float = 1.0,
-    refit: bool = False,
-    max_retries: int = 8,
-) -> CssSolution:
+def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool = False) -> CssSolution:
     """Randomized bicriteria column selection.
 
     Runs the fair low-rank pipeline, samples columns of the resulting factor
     by their leverage scores (independent inclusion, probability
-    min(1, score * log d)), and caps the draw at ``css_budget(cfg.k, c_css)``
+    min(1, score * log d)), and caps the draw at ``css_budget(cfg.k)``
     columns, keeping the highest-leverage sampled columns when over budget.
-    An empty draw is retried with doubled inclusion probabilities; running
-    out of retries raises RuntimeError. With ``refit`` each group's factor is
-    replaced by its own least-squares fit onto the selected columns.
+    An empty draw is retried with doubled inclusion probabilities; after
+    ``COLUMN_DRAWS`` empty draws it raises RuntimeError. With ``refit`` each
+    group's factor is replaced by its own least-squares fit onto the selected
+    columns.
     """
     if cfg.k > data.d:
         raise ValueError(f"k={cfg.k} exceeds feature count {data.d}")
     lra_sol = bicriteria_fair_lra(data, cfg)
     v_tilde = lra_sol.v_tilde
-    budget = css_budget(cfg.k, c_css)
+    budget = css_budget(cfg.k)
 
     if lra_sol.t == 0 or not np.any(v_tilde):
         # degenerate factor: any index set reconstructs the zero data exactly
         idx = np.arange(min(budget, data.d))
         factors = tuple(np.zeros((idx.size, data.d)) for _ in range(data.ell))
-        return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=0.0, seed=cfg.seed)
+        return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=0.0)
 
     col_scores = leverage_scores(v_tilde.T)
     base_probs = _keep_probabilities(col_scores.scores, data.d)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     idx = np.zeros(0, dtype=int)
-    for attempt in range(max_retries):
+    for attempt in range(COLUMN_DRAWS):
         probs = np.minimum(1.0, base_probs * 2.0 ** attempt)
         keep = rng.random(data.d) < probs
         idx = np.flatnonzero(keep)
         if idx.size >= 1:
             break
     if idx.size == 0:
-        raise RuntimeError(f"column sampler drew no columns in {max_retries} attempts")
+        raise RuntimeError(f"column sampler drew no columns in {COLUMN_DRAWS} attempts")
     if idx.size > budget:
         top = np.argsort(-col_scores.scores[idx], kind="stable")[:budget]
         idx = np.sort(idx[top])
@@ -92,20 +89,20 @@ def bicriteria_fair_css(
         projector_rows = (pseudoinverse(v_tilde) @ v_tilde)[idx, :]
         factors = tuple(projector_rows.copy() for _ in range(data.ell))
     cost = fair_css_cost(data, idx, factors)
-    return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=cost, seed=cfg.seed)
+    return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=cost)
 
 
-def brute_force_css(data: GroupedMatrix, k: int, max_subsets: int = 100_000) -> CssSolution:
+def brute_force_css(data: GroupedMatrix, k: int) -> CssSolution:
     """Exhaustive k-column oracle with optimal per-group factors.
 
     Ties are broken toward the lexicographically smallest index set. Refuses
-    instances with more than ``max_subsets`` candidate subsets.
+    instances with more than ``MAX_SUBSETS`` candidate subsets.
     """
     if not 1 <= k <= data.d:
         raise ValueError(f"k must be in [1, {data.d}], got {k}")
-    if math.comb(data.d, k) > max_subsets:
+    if math.comb(data.d, k) > MAX_SUBSETS:
         raise ValueError(
-            f"C({data.d}, {k}) = {math.comb(data.d, k)} exceeds the {max_subsets} subset budget"
+            f"C({data.d}, {k}) = {math.comb(data.d, k)} exceeds the {MAX_SUBSETS} subset budget"
         )
     best_idx: Optional[tuple] = None
     best_factors: Optional[tuple] = None
@@ -117,4 +114,4 @@ def brute_force_css(data: GroupedMatrix, k: int, max_subsets: int = 100_000) -> 
         if cost < best_cost:
             best_cost, best_idx, best_factors = cost, subset, factors
     assert best_idx is not None and best_factors is not None
-    return CssSolution(indices=best_idx, factors=best_factors, cost=best_cost, seed=0)
+    return CssSolution(indices=best_idx, factors=best_factors, cost=best_cost)

@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .grouped import GroupedLabels, GroupedMatrix, fair_lra_cost, group_indices,
 from .lra import BicriteriaConfig, bicriteria_fair_lra_timed, svd_baseline
 
 REPORT_SCHEMA = "fairsketch-report/1"
+CREDIT_K_SWEEP_ROWS = 1000  # rows drawn per group in each trial of the credit k-sweep
 
 CREDIT_FETCH_INSTRUCTIONS = (
     "The Default of Credit Card Clients dataset is not bundled. Download it from the "
@@ -45,7 +44,6 @@ class IngestSpec:
     group_col: str
     feature_cols: Optional[tuple] = None
     label_col: Optional[str] = None
-    row_limit: Optional[int] = None
     subsample: Optional[int] = None
     seed: int = 0
 
@@ -58,7 +56,12 @@ class IngestSpec:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One benchmark trial; field order fixes the CSV column order."""
+    """One benchmark trial; field order fixes the CSV column order.
+
+    ``time_bicrit_total`` covers the sketch, the Lewis sampling and the factor
+    extraction (``time_bicrit_extract`` is the last of these). It leaves out
+    the orthonormalisation of the factor and the cost evaluation.
+    """
 
     trial: int
     seed: int
@@ -99,8 +102,9 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
 
     Feature cells must parse as finite decimal reals; parse failures,
     non-finite cells and rows shorter than the header are reported with their
-    row. When ``feature_cols`` is unset, every column except the group and
-    label columns is used. Subsampling is uniform without replacement,
+    line in the file, counting the header as line 1 and blank lines too. When
+    ``feature_cols`` is unset, every column except the group and label
+    columns is used. Subsampling is uniform without replacement,
     seeded, and applied before grouping.
     """
     path = Path(spec.path)
@@ -112,7 +116,11 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        rows = [row for row in reader if row]
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
 
     header = [h.strip() for h in header]
     col_of = {name: i for i, name in enumerate(header)}
@@ -132,14 +140,13 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
         raise DataError(f"{path}: no data rows")
     if min(map(len, rows)) < len(header):
         i = next(i for i, row in enumerate(rows) if len(row) < len(header))
-        raise DataError(f"{path}: row {i + 2} has {len(rows[i])} cells, the header has {len(header)}")
+        raise DataError(f"{path}: row {lines[i]} has {len(rows[i])} cells, the header has {len(header)}")
 
-    if spec.row_limit is not None:
-        rows = rows[: spec.row_limit]
     if spec.subsample is not None and spec.subsample < len(rows):
         rng = np.random.default_rng(spec.seed)
         chosen = np.sort(rng.choice(len(rows), size=spec.subsample, replace=False))
         rows = [rows[i] for i in chosen]
+        lines = [lines[i] for i in chosen]
 
     def parse_cell(row_idx: int, row: list, name: str) -> float:
         cell = row[col_of[name]]
@@ -147,7 +154,7 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
             return float(cell)
         except ValueError:
             raise DataError(
-                f"{path}: row {row_idx + 2}, column {name!r}: cannot parse {cell!r} as a real"
+                f"{path}: row {lines[row_idx]}, column {name!r}: cannot parse {cell!r} as a real"
             ) from None
 
     def require_finite(values: np.ndarray, names: Sequence[str]) -> None:
@@ -155,7 +162,7 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
         if bad.size:
             i, j = bad[0]
             cell = rows[i][col_of[names[j]]]
-            raise DataError(f"{path}: row {i + 2}, column {names[j]!r}: {cell!r} is not a finite real")
+            raise DataError(f"{path}: row {lines[i]}, column {names[j]!r}: {cell!r} is not a finite real")
 
     features = np.array(
         [[parse_cell(i, row, name) for name in feature_cols] for i, row in enumerate(rows)]
@@ -190,14 +197,6 @@ def _trial_seeds(seed: int, count: int) -> list:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _run_ordered(tasks: Sequence[Callable[[], TrialRecord]], workers: int) -> list:
-    if workers <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def _bicrit_vs_baseline(
     data: GroupedMatrix, cfg: BicriteriaConfig, trial: int, subsample: int
 ) -> TrialRecord:
@@ -226,7 +225,7 @@ def _bicrit_vs_baseline(
 
 
 def _run_cell(
-    report: ExperimentReport, data: GroupedMatrix, cfg: BicriteriaConfig, trials: int, workers: int,
+    report: ExperimentReport, data: GroupedMatrix, cfg: BicriteriaConfig, trials: int,
     subsample: Optional[int] = None,
 ) -> None:
     """Append the seeded trials of one grid cell to ``report``.
@@ -235,19 +234,12 @@ def _run_cell(
     ``subsample`` set, each trial first draws that many rows per group using
     its own seed.
     """
-    first_index = len(report.records)
-
-    def trial(idx: int, ts: int) -> TrialRecord:
+    for ts in _trial_seeds(cfg.seed, trials):
         sub = data if subsample is None else _subsample_groups(data, subsample, np.random.default_rng(ts))
-        return _bicrit_vs_baseline(sub, replace(cfg, seed=ts), first_index + idx, subsample or 0)
-
-    seeds = _trial_seeds(cfg.seed, trials)
-    report.records.extend(_run_ordered([partial(trial, t, ts) for t, ts in enumerate(seeds)], workers))
+        report.records.append(_bicrit_vs_baseline(sub, replace(cfg, seed=ts), len(report.records), subsample or 0))
 
 
-def run_dataset_lra(
-    data: GroupedMatrix, cfg: BicriteriaConfig, trials: int = 1, workers: int = 1
-) -> ExperimentReport:
+def run_dataset_lra(data: GroupedMatrix, cfg: BicriteriaConfig, trials: int = 1) -> ExperimentReport:
     """Seeded bicriteria-vs-baseline trials of ``cfg`` on caller-supplied grouped data."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -257,7 +249,7 @@ def run_dataset_lra(
                 "g_rows": cfg.g_rows, "h_cols": cfg.h_cols,
                 "lewis_iterations": cfg.lewis_iterations, "lewis_samples": cfg.lewis_samples},
     )
-    _run_cell(report, data, cfg, trials, workers)
+    _run_cell(report, data, cfg, trials)
     return report
 
 
@@ -267,7 +259,6 @@ def run_synthetic_lra(
     ps: Sequence[float] = tuple(range(1, 11)),
     k: int = 2,
     seed: int = 0,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Bicriteria-vs-baseline squared-cost ratios on the fixed synthetic pair.
 
@@ -291,7 +282,7 @@ def run_synthetic_lra(
     cells = [(dim, float(p)) for dim in sketch_dims for p in ps]
     for cell_idx, (dim, p) in enumerate(cells):
         cfg = BicriteriaConfig(k=k, p=p, g_rows=dim, h_cols=dim, lewis_samples=k, seed=seed + cell_idx)
-        _run_cell(report, data, cfg, trials, workers)
+        _run_cell(report, data, cfg, trials)
     return report
 
 
@@ -338,21 +329,19 @@ def run_credit_lra(
     k_grid: Sequence[int] = tuple(range(1, 9)),
     trials: int = 100,
     seed: int = 0,
-    s_for_k: int = 1000,
-    g_rows: int = 30,
-    h_cols: int = 30,
-    lewis_iterations: int = 10,
-    workers: int = 1,
     validate_shape: bool = True,
 ) -> ExperimentReport:
     """Credit-dataset sweeps: subsample sizes at k=1, then ranks at s=1000.
 
     The s-sweep draws s rows from each group per trial and compares the
     bicriteria factor (row budget k) against the stacked-SVD baseline at
-    k=1, p=1. The k-sweep fixes s_for_k rows per group and permits the
-    bicriteria factor twice the baseline rank (row budget 2k). Gaussian
-    sketch dimensions default to 30 on both sides.
+    k=1, p=1. The k-sweep fixes ``CREDIT_K_SWEEP_ROWS`` rows per group and
+    permits the bicriteria factor twice the baseline rank (row budget 2k).
+    The sketch keeps ``BicriteriaConfig``'s default dimensions and Lewis
+    iterations.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     data, _ = ingest_csv(spec)
     if validate_shape and (data.total_rows != 30000 or data.d < 17):
         raise DataError(
@@ -360,21 +349,20 @@ def run_credit_lra(
             f"(expected 30000 rows and >= 17 numeric features). "
             + CREDIT_FETCH_INSTRUCTIONS
         )
+    base = BicriteriaConfig(k=1, p=1.0, lewis_samples=1, seed=seed)
     report = ExperimentReport(
         name="credit",
         config={
             "path": spec.path, "s_grid": list(s_grid), "k_grid": list(k_grid),
-            "trials": trials, "seed": seed, "s_for_k": s_for_k,
-            "g_rows": g_rows, "h_cols": h_cols, "lewis_iterations": lewis_iterations,
+            "trials": trials, "seed": seed, "s_for_k": CREDIT_K_SWEEP_ROWS,
+            "g_rows": base.g_rows, "h_cols": base.h_cols, "lewis_iterations": base.lewis_iterations,
         },
     )
-    sketch = {"p": 1.0, "g_rows": g_rows, "h_cols": h_cols, "lewis_iterations": lewis_iterations}
     for cell_idx, s in enumerate(s_grid):
-        cfg = BicriteriaConfig(k=1, lewis_samples=1, seed=seed + cell_idx, **sketch)
-        _run_cell(report, data, cfg, trials, workers, subsample=s)
+        _run_cell(report, data, replace(base, seed=seed + cell_idx), trials, subsample=s)
     for cell_idx, k in enumerate(k_grid):
-        cfg = BicriteriaConfig(k=k, lewis_samples=2 * k, seed=seed + 10_000 + cell_idx, **sketch)
-        _run_cell(report, data, cfg, trials, workers, subsample=s_for_k)
+        cfg = replace(base, k=k, lewis_samples=2 * k, seed=seed + 10_000 + cell_idx)
+        _run_cell(report, data, cfg, trials, subsample=CREDIT_K_SWEEP_ROWS)
     return report
 
 

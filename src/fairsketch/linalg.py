@@ -91,8 +91,6 @@ def pseudoinverse(M) -> np.ndarray:
     (M W)^T = M W, (W M)^T = W M to working precision.
     """
     f = svd(M)
-    if f.rank == 0:
-        return np.zeros((np.shape(M)[1], np.shape(M)[0]) if np.ndim(M) == 2 else (0, 0))
     return (f.V.T / f.sigma) @ f.U.T
 
 

@@ -31,21 +31,6 @@ from .sampling import lewis_sampling_matrix, lewis_weights
 from .sketch import dvoretzky_gaussian, dvoretzky_right_embedding
 
 
-def minmax_softening_exponent(ell: int, eps: float, c: float = 2.0) -> int:
-    """Smallest tested p with ||x||_inf <= ||x||_p <= (1+eps) ||x||_inf on R^ell.
-
-    Uses p = ceil(c * log(ell) / eps); c = 2 guarantees the sandwich for all
-    eps in (0, 1] since log(1+eps) >= eps/2 there.
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if ell == 1:
-        return 1
-    return max(1, math.ceil(c * math.log(ell) / eps))
-
-
 @dataclass
 class BicriteriaConfig:
     """Knobs for the sketching pipeline.
@@ -96,20 +81,16 @@ class FairLraSolution:
 
     ``v_tilde`` has orthonormal rows spanning the solution subspace (a single
     zero row for all-zero data); ``t`` is its rank. ``cost`` is the unsquared
-    worst-group residual. Sketch dimensions record the pipeline shape
-    actually used (zeros for solutions that bypassed the pipeline, e.g. the
-    binary-search driver).
+    worst-group residual. ``t_rows`` is the number of rows the Lewis sampler
+    drew (0 when no sketch ran: all-zero data and the binary-search driver)
+    and ``p`` the sketch exponent (0 from the binary-search driver).
     """
 
     v_tilde: np.ndarray
     t: int
     cost: float
-    seed: int
-    g_rows: int
-    h_cols: int
     t_rows: int
     p: float
-    c: float
     baseline_fallback: bool = False
 
 
@@ -151,19 +132,17 @@ def bicriteria_fair_lra(data: GroupedMatrix, cfg: BicriteriaConfig) -> FairLraSo
 def bicriteria_fair_lra_timed(data: GroupedMatrix, cfg: BicriteriaConfig) -> tuple[FairLraSolution, dict]:
     """Like ``bicriteria_fair_lra`` but also reports phase wall times.
 
-    The timing dict splits the run into the sketch-and-sampling phase and the
-    factor-extraction phase; with repeats the times accumulate over runs.
+    ``time_total`` covers the sketch, the Lewis sampling and the factor
+    extraction; ``time_extract`` is the extraction alone. Neither covers the
+    orthonormalisation of the factor or the cost evaluation. With repeats the
+    times accumulate over runs.
     """
     A = data.stacked()
     p = cfg.exponent(data.ell)
     total = {"time_total": 0.0, "time_extract": 0.0}
     if not np.any(A):
         zero = np.zeros((1, data.d))
-        sol = FairLraSolution(
-            v_tilde=zero, t=0, cost=0.0, seed=cfg.seed, g_rows=cfg.g_rows,
-            h_cols=cfg.h_cols, t_rows=0, p=p, c=cfg.c,
-        )
-        return sol, total
+        return FairLraSolution(v_tilde=zero, t=0, cost=0.0, t_rows=0, p=p), total
 
     run_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.repeats)]
     best: Optional[FairLraSolution] = None
@@ -177,10 +156,7 @@ def bicriteria_fair_lra_timed(data: GroupedMatrix, cfg: BicriteriaConfig) -> tup
         total["time_total"] += times["time_total"]
         total["time_extract"] += times["time_extract"]
         if best is None or cost < best.cost:
-            best = FairLraSolution(
-                v_tilde=v_tilde, t=t, cost=cost, seed=cfg.seed, g_rows=cfg.g_rows,
-                h_cols=cfg.h_cols, t_rows=t_rows, p=p, c=cfg.c,
-            )
+            best = FairLraSolution(v_tilde=v_tilde, t=t, cost=cost, t_rows=t_rows, p=p)
     assert best is not None
     return best, total
 
@@ -279,7 +255,6 @@ def binary_search_fair_lra(
     oracle: Optional[Callable[[float], Optional[np.ndarray]]] = None,
     alpha0: Optional[float] = None,
     squared: bool = False,
-    oracle_iters: int = 200,
     seed: int = 0,
 ) -> FairLraSolution:
     """Shrink a feasibility threshold geometrically and keep the best factor.
@@ -305,12 +280,11 @@ def binary_search_fair_lra(
             raise ValueError(f"alpha0 must be non-negative, got {alpha0}")
 
     def default_oracle(a: float, call: int) -> Optional[np.ndarray]:
-        return alternating_feasibility(data, k, a, iters=oracle_iters, seed=seed + 7919 * call)
+        return alternating_feasibility(data, k, a, seed=seed + 7919 * call)
 
     def make_solution(V: np.ndarray, cost: float, fallback: bool) -> FairLraSolution:
         return FairLraSolution(
-            v_tilde=V, t=int(svd(V).rank), cost=cost, seed=seed, g_rows=0, h_cols=0,
-            t_rows=0, p=0.0, c=0.0, baseline_fallback=fallback,
+            v_tilde=V, t=int(svd(V).rank), cost=cost, t_rows=0, p=0.0, baseline_fallback=fallback,
         )
 
     if alpha <= 0.0:

@@ -39,7 +39,6 @@ class LewisWeights:
 
     weights: np.ndarray
     p: float
-    iterations: int
     residual: float
 
 
@@ -55,7 +54,6 @@ class SamplingMatrix:
     indices: np.ndarray
     scales: np.ndarray
     source_rows: int
-    seed: int
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
@@ -78,12 +76,6 @@ class SamplingMatrix:
         if M.shape[0] != self.source_rows:
             raise ValueError(f"matrix has {M.shape[0]} rows, sampler expects {self.source_rows}")
         return M[self.indices] * self.scales[:, None]
-
-    def apply_vector(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        if v.shape[0] != self.source_rows:
-            raise ValueError(f"vector has {v.shape[0]} entries, sampler expects {self.source_rows}")
-        return v[self.indices] * self.scales
 
 
 def leverage_scores(M) -> LeverageScores:
@@ -120,7 +112,6 @@ def leverage_sampling_matrix(scores: LeverageScores, n: int, seed: int) -> Sampl
         indices=idx,
         scales=1.0 / np.sqrt(probs[idx]) if idx.size else np.zeros(0),
         source_rows=n,
-        seed=int(seed),
     )
 
 
@@ -161,7 +152,7 @@ def lewis_weights(M, p: float, iters: int = 10) -> LewisWeights:
         phi = np.maximum(q, 0.0) ** (p / 2.0)
         w = phi if theta == 1.0 else _masked_power(w, 1.0 - theta) * phi ** theta
     residual = _fixed_point_residual(M, w, p)
-    return LewisWeights(weights=w, p=float(p), iterations=int(iters), residual=residual)
+    return LewisWeights(weights=w, p=float(p), residual=residual)
 
 
 def _masked_power(w: np.ndarray, expo: float) -> np.ndarray:
@@ -217,4 +208,4 @@ def lewis_sampling_matrix(weights: LewisWeights, s: int, seed: int) -> SamplingM
     rng = np.random.default_rng(seed)
     idx = rng.choice(w.shape[0], size=s, replace=True, p=q)
     scales = (s * q[idx]) ** (-1.0 / weights.p)
-    return SamplingMatrix(indices=idx, scales=scales, source_rows=int(w.shape[0]), seed=int(seed))
+    return SamplingMatrix(indices=idx, scales=scales, source_rows=int(w.shape[0]))

@@ -13,7 +13,6 @@ reproduce identical matrices bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +61,11 @@ def dvoretzky_right_embedding(rows: int, cols: int, p: float, seed: int) -> np.n
     return dvoretzky_gaussian(cols, rows, p, seed).T
 
 
-def dvoretzky_rows_needed(n: int, p: float, eps: float, c_dv: float = 1.0) -> int:
+def dvoretzky_rows_needed(n: int, p: float, eps: float) -> int:
     """Sketch rows sufficient for (1 +- eps) L2-to-Lp distortion in dimension n.
 
     Evaluates the three-regime bound m(n, p, eps) and returns the applicable
-    regime's value times ``c_dv``, rounded up. The regimes partition eps in
+    regime's value, rounded up. The regimes partition eps in
     increasing order: a 1/eps^2 regime for small eps, a 1/eps regime for
     moderate eps up to 1/p, and a (1/eps)^(p/2) log-corrected regime for
     1/p < eps < 1. For p = 1 the first regime covers all of (0, 1).
@@ -92,50 +91,27 @@ def dvoretzky_rows_needed(n: int, p: float, eps: float, c_dv: float = 1.0) -> in
             m = p ** p * n / eps ** 2
         else:
             m = (n * p) ** (p / 2.0) / eps
-    return max(1, math.ceil(c_dv * m))
+    return max(1, math.ceil(m))
 
 
-@dataclass(frozen=True)
-class AffineEmbedding:
-    """Dense Gaussian n x m affine embedding for rank-k regression designs.
-
-    m = ceil(c_aff * k^2 / eps^2 * log(1/delta)); entries are i.i.d.
-    N(0, 1/m). Right-multiplying a k-rank design and its targets by S
-    preserves all regression costs up to (1 +- O(eps)) with probability
-    at least 1 - delta.
-    """
-
-    S: np.ndarray
-    k: int
-    epsilon: float
-    delta: float
-    seed: int
-
-    @property
-    def rows(self) -> int:
-        return self.S.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.S.shape[1]
-
-    def apply(self, M) -> np.ndarray:
-        return np.asarray(M, dtype=np.float64) @ self.S
-
-
-def affine_embedding_cols(k: int, eps: float, delta: float, c_aff: float = 1.0) -> int:
-    """Sketch width m = ceil(c_aff * k^2 / eps^2 * log(1/delta))."""
+def affine_embedding_cols(k: int, eps: float, delta: float) -> int:
+    """Sketch width m = ceil(k^2 / eps^2 * log(1/delta))."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return max(1, math.ceil(c_aff * k * k / (eps * eps) * math.log(1.0 / delta)))
+    return max(1, math.ceil(k * k / (eps * eps) * math.log(1.0 / delta)))
 
 
-def affine_embedding(n: int, k: int, eps: float, delta: float, seed: int, c_aff: float = 1.0) -> AffineEmbedding:
+def affine_embedding(n: int, k: int, eps: float, delta: float, seed: int) -> np.ndarray:
     """Draw a dense Gaussian affine embedding S in R^(n x m).
+
+    m is ``affine_embedding_cols(k, eps, delta)`` and the entries are i.i.d.
+    N(0, 1/m). Right-multiplying a rank-k design and its targets by S
+    preserves all regression costs up to (1 +- O(eps)) with probability at
+    least 1 - delta.
 
     Parameters
     ----------
@@ -147,12 +123,9 @@ def affine_embedding(n: int, k: int, eps: float, delta: float, seed: int, c_aff:
         Distortion and failure-probability targets; both in (0, 1).
     seed : int
         RNG seed.
-    c_aff : float, optional
-        Multiplier on the sketch width, default 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = affine_embedding_cols(k, eps, delta, c_aff)
+    m = affine_embedding_cols(k, eps, delta)
     rng = np.random.default_rng(seed)
-    S = rng.standard_normal((n, m)) / math.sqrt(m)
-    return AffineEmbedding(S=S, k=int(k), epsilon=float(eps), delta=float(delta), seed=int(seed))
+    return rng.standard_normal((n, m)) / math.sqrt(m)

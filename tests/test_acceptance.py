@@ -136,7 +136,7 @@ def test_criterion_7_affine_embedding():
         X = A @ np.linalg.pinv(V)
         base = float(np.linalg.norm(X @ V - A, "fro") ** 2)
         emb = affine_embedding(30, 2, 0.3, 0.1, seed=seed)
-        sketched = float(np.linalg.norm((X @ V - A) @ emb.S, "fro") ** 2)
+        sketched = float(np.linalg.norm((X @ V - A) @ emb, "fro") ** 2)
         hits += abs(sketched / base - 1.0) <= 1.0
     assert hits >= 90
 

@@ -119,3 +119,16 @@ def test_non_finite_cell_is_data_error(tmp_path, capsys, cell, column):
     err = capsys.readouterr().err
     assert rc == 3
     assert f"row 3, column '{column}'" in err and repr(cell) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lra", "{csv}", "--group-col", "grp", "--trials", "0"],
+    ["lra", "{csv}", "--group-col", "grp", "--trials", "-2"],
+    ["experiment", "synthetic", "--trials", "0"],
+    ["experiment", "credit", "{csv}", "--group-col", "grp", "--trials", "0"],
+])
+def test_trials_below_one_is_usage_error(grouped_csv, capsys, argv):
+    rc = main([a.format(csv=grouped_csv) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "trials must be >= 1" in err

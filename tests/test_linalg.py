@@ -57,9 +57,10 @@ class TestPseudoinverse:
         assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3))
 
     def test_zero(self):
-        W = pseudoinverse(np.zeros((2, 3)))
-        assert W.shape == (3, 2)
-        assert np.all(W == 0.0)
+        for M, shape in ((np.zeros((2, 3)), (3, 2)), (np.zeros(3), (3, 1))):
+            W = pseudoinverse(M)
+            assert W.shape == shape
+            assert np.all(W == 0.0)
 
     def test_rectangular_diagonal(self):
         W = pseudoinverse(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))

@@ -10,7 +10,6 @@ from fairsketch.lra import (
     bicriteria_fair_lra,
     binary_search_fair_lra,
     eckart_young_lower_bound,
-    minmax_softening_exponent,
     svd_baseline,
 )
 
@@ -72,7 +71,7 @@ class TestBicriteria:
         for samples in (1, 2, 3):
             cfg = BicriteriaConfig(k=2, g_rows=5, h_cols=5, lewis_samples=samples, seed=7)
             sol = bicriteria_fair_lra(data, cfg)
-            assert sol.t <= min(sol.t_rows, sol.h_cols)
+            assert sol.t <= min(sol.t_rows, cfg.h_cols)
             assert sol.t <= samples
             assert sol.cost == pytest.approx(fair_lra_cost(data, sol.v_tilde), abs=1e-9)
             # orthogonal projection never inflates a group's energy
@@ -161,19 +160,6 @@ class TestBinarySearch:
             )
             sol = binary_search_fair_lra(data, 2, 0.2, seed=seed)
             assert eckart_young_lower_bound(data, 2) <= sol.cost + 1e-9
-
-
-def test_max_to_p_sandwich():
-    rng = np.random.default_rng(10)
-    for ell in (2, 5, 20, 100):
-        for eps in (0.1, 0.5, 0.9):
-            p = minmax_softening_exponent(ell, eps)
-            for _ in range(20):
-                x = rng.standard_normal((1, ell))
-                inf_norm = float(np.max(np.abs(x)))
-                p_norm = norm_entrywise(x, p)
-                assert inf_norm <= p_norm + 1e-12
-                assert p_norm <= (1 + eps) * inf_norm + 1e-12
 
 
 def test_binary_search_custom_alpha0_squared():

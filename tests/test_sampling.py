@@ -64,7 +64,7 @@ class TestLeverageSampling:
         means = []
         for seed in range(2000):
             sm = leverage_sampling_matrix(ls, 50, seed=seed)
-            means.append(float(np.sum(sm.apply_vector(v) ** 2)))
+            means.append(float(np.sum(sm.apply(v[:, None]) ** 2)))
         assert abs(np.mean(means) - target) <= 0.05 * target
 
     def test_determinism(self):
@@ -124,19 +124,19 @@ class TestLewisWeights:
 
 class TestLewisSampling:
     def test_single_nonzero_weight(self):
-        lw = LewisWeights(weights=np.array([0.0, 3.0, 0.0]), p=2.0, iterations=1, residual=0.0)
+        lw = LewisWeights(weights=np.array([0.0, 3.0, 0.0]), p=2.0, residual=0.0)
         sm = lewis_sampling_matrix(lw, 7, seed=0)
         assert np.all(sm.indices == 1)
         assert sm.sample_count == 7
 
     def test_all_zero_rejected(self):
-        lw = LewisWeights(weights=np.zeros(3), p=2.0, iterations=1, residual=0.0)
+        lw = LewisWeights(weights=np.zeros(3), p=2.0, residual=0.0)
         with pytest.raises(ValueError):
             lewis_sampling_matrix(lw, 2, seed=0)
 
     def test_uniform_weights_draw_uniformly(self):
         n, draws = 8, 10000
-        lw = LewisWeights(weights=np.ones(n), p=1.0, iterations=1, residual=0.0)
+        lw = LewisWeights(weights=np.ones(n), p=1.0, residual=0.0)
         sm = lewis_sampling_matrix(lw, draws, seed=1)
         counts = np.bincount(sm.indices, minlength=n)
         expected = draws / n
@@ -160,7 +160,7 @@ class TestLewisSampling:
         assert good_seeds >= 0.9 * 40
 
     def test_determinism(self):
-        lw = LewisWeights(weights=np.arange(1.0, 6.0), p=3.0, iterations=1, residual=0.0)
+        lw = LewisWeights(weights=np.arange(1.0, 6.0), p=3.0, residual=0.0)
         a = lewis_sampling_matrix(lw, 9, seed=13)
         b = lewis_sampling_matrix(lw, 9, seed=13)
         assert np.array_equal(a.indices, b.indices)
