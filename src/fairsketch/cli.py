@@ -41,11 +41,11 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_ingest_flags(p: argparse.ArgumentParser, need_label: bool = False) -> None:
+def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("csv", help="input CSV file with a header row")
     p.add_argument("--group-col", required=True, help="sensitive-attribute column")
     p.add_argument("--features", help="comma-separated numeric feature columns (default: all others)")
-    p.add_argument("--label-col", required=need_label, help="regression target column")
+    p.add_argument("--label-col", help="regression target column")
     p.add_argument("--s", type=int, help="uniform row subsample size")
     p.add_argument("--seed", type=int, default=0)
 
@@ -61,15 +61,20 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--squared", action="store_true", help="report squared costs")
 
 
+def _lists(args, **flags) -> dict:
+    """Comma-separated flags as lists, from parameter=(flag attribute, item type); unset flags are left out."""
+    return {param: [cast(x.strip()) for x in getattr(args, attr).split(",")]
+            for param, (attr, cast) in flags.items() if getattr(args, attr)}
+
+
 def _ingest(args) -> tuple:
-    features = tuple(x.strip() for x in args.features.split(",")) if args.features else None
     spec = IngestSpec(
         path=args.csv,
         group_col=args.group_col,
-        feature_cols=features,
         label_col=getattr(args, "label_col", None),
         subsample=args.s,
         seed=args.seed,
+        **_lists(args, feature_cols=("features", str)),
     )
     return ingest_csv(spec)
 
@@ -117,11 +122,8 @@ def _cmd_regress(args) -> int:
     if targets is None:
         raise DataError("regress requires --label-col")
     if args.export:
-        model = (
-            export_l1_feasibility(data, targets, args.threshold)
-            if args.export == "l1"
-            else export_l2_feasibility(data, targets, args.threshold)
-        )
+        export = export_l1_feasibility if args.export == "l1" else export_l2_feasibility
+        model = export(data, targets, args.threshold)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(model.text)
@@ -147,21 +149,17 @@ def _cmd_regress(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.suite == "synthetic":
-        dims = [int(x) for x in args.dims.split(",")] if args.dims else [3]
-        ps = [float(x) for x in args.p_grid.split(",")] if args.p_grid else list(range(1, 11))
-        report = run_synthetic_lra(
-            trials=args.trials, sketch_dims=dims, ps=ps, k=args.k, seed=args.seed,
-        )
+        grids = _lists(args, sketch_dims=("dims", int), ps=("p_grid", float))
+        report = run_synthetic_lra(trials=args.trials, k=args.k, seed=args.seed, **grids)
     elif args.suite == "poc":
         report = run_proof_of_concept()
     else:
         if not args.csv:
             raise DataError("experiment credit requires a CSV path. " + CREDIT_FETCH_INSTRUCTIONS)
-        features = tuple(x.strip() for x in args.features.split(",")) if args.features else None
-        spec = IngestSpec(path=args.csv, group_col=args.group_col or "SEX", feature_cols=features, seed=args.seed)
-        s_grid = [int(x) for x in args.s_grid.split(",")] if args.s_grid else list(range(2, 22))
-        k_grid = [int(x) for x in args.k_grid.split(",")] if args.k_grid else list(range(1, 9))
-        report = run_credit_lra(spec, s_grid=s_grid, k_grid=k_grid, trials=args.trials, seed=args.seed)
+        spec = IngestSpec(path=args.csv, group_col=args.group_col or "SEX", seed=args.seed,
+                          **_lists(args, feature_cols=("features", str)))
+        grids = _lists(args, s_grid=("s_grid", int), k_grid=("k_grid", int))
+        report = run_credit_lra(spec, trials=args.trials, seed=args.seed, **grids)
     agg = report.aggregates()
     print(f"suite: {report.name}, trials: {agg['trials']}")
     if agg["trials"]:
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_css.set_defaults(func=_cmd_css)
 
     p_reg = sub.add_parser("regress", help="min-max fair regression")
-    _add_ingest_flags(p_reg, need_label=False)
+    _add_ingest_flags(p_reg)
     p_reg.add_argument("--method", choices=["stacked", "subgradient", "binary-search"], default="subgradient")
     p_reg.add_argument("--norm", choices=["l1", "l2"], default="l2")
     p_reg.add_argument("--eps", type=float, default=0.05)

@@ -68,7 +68,7 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
         return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=0.0)
 
     col_scores = leverage_scores(v_tilde.T)
-    base_probs = _keep_probabilities(col_scores.scores, data.d)
+    base_probs = _keep_probabilities(col_scores.scores)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     idx = np.zeros(0, dtype=int)
     for attempt in range(COLUMN_DRAWS):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grouped import GroupedLabels, GroupedMatrix, fair_lra_cost, group_indices, split_by_group
-from .lra import BicriteriaConfig, bicriteria_fair_lra_timed, svd_baseline
+from .lra import BicriteriaConfig, bicriteria_fair_lra_timed, spawn_seeds, svd_baseline
 
 REPORT_SCHEMA = "fairsketch-report/1"
 CREDIT_K_SWEEP_ROWS = 1000  # rows drawn per group in each trial of the credit k-sweep
@@ -51,6 +51,8 @@ class IngestSpec:
         feats = tuple(self.feature_cols) if self.feature_cols else None
         if feats and self.group_col in feats:
             raise ValueError(f"group column {self.group_col!r} cannot be a feature")
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError(f"subsample must be >= 1, got {self.subsample}")
         object.__setattr__(self, "feature_cols", feats)
 
 
@@ -193,10 +195,6 @@ def proof_of_concept_groups() -> GroupedMatrix:
     return GroupedMatrix.from_arrays(tuple(rows), ("a", "b", "c", "d"))
 
 
-def _trial_seeds(seed: int, count: int) -> list:
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 def _bicrit_vs_baseline(
     data: GroupedMatrix, cfg: BicriteriaConfig, trial: int, subsample: int
 ) -> TrialRecord:
@@ -234,7 +232,7 @@ def _run_cell(
     ``subsample`` set, each trial first draws that many rows per group using
     its own seed.
     """
-    for ts in _trial_seeds(cfg.seed, trials):
+    for ts in spawn_seeds(cfg.seed, trials):
         sub = data if subsample is None else _subsample_groups(data, subsample, np.random.default_rng(ts))
         report.records.append(_bicrit_vs_baseline(sub, replace(cfg, seed=ts), len(report.records), subsample or 0))
 

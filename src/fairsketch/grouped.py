@@ -110,7 +110,7 @@ def fair_lra_cost(data: GroupedMatrix, V, squared: bool = False) -> float:
     return float(np.max(fair_lra_group_costs(data, V, squared=squared)))
 
 
-def fair_css_cost(data: GroupedMatrix, indices, factors, squared: bool = False) -> float:
+def fair_css_cost(data: GroupedMatrix, indices, factors) -> float:
     """Worst-group residual ||A_i[:, S] M_i - A_i||_F for selected columns S.
 
     ``factors`` holds one M_i of shape (len(indices), d) per group.
@@ -129,7 +129,7 @@ def fair_css_cost(data: GroupedMatrix, indices, factors, squared: bool = False) 
             raise ValueError(f"factor shape {M.shape}, expected {(idx.size, data.d)}")
         R = A[:, idx] @ M - A
         worst = max(worst, float(np.sum(R * R)))
-    return worst if squared else float(np.sqrt(worst))
+    return float(np.sqrt(worst))
 
 
 def fair_regression_group_costs(

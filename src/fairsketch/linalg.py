@@ -56,9 +56,6 @@ class SvdFactors:
     def rank(self) -> int:
         return int(self.sigma.shape[0])
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V
-
 
 def svd(M) -> SvdFactors:
     """Singular value decomposition truncated to numerical rank.
@@ -110,16 +107,8 @@ def norm_entrywise(M, p: float) -> float:
 
 def norm_columns_p2(M, p: float) -> float:
     """p-norm of the vector of column Euclidean norms."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     M = as_matrix(M)
-    if M.size == 0:
-        return 0.0
-    col = np.sqrt(np.sum(M * M, axis=0))
-    scale = float(np.max(col))
-    if scale == 0.0:
-        return 0.0
-    return scale * float(np.sum((col / scale) ** p) ** (1.0 / p))
+    return norm_entrywise(np.sqrt(np.sum(M * M, axis=0)), p)
 
 
 def least_squares_left(V, A) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grouped import GroupedMatrix, fair_lra_cost
-from .linalg import as_matrix, best_rank_k, orthonormal_rows, pseudoinverse, svd
+from .linalg import as_matrix, best_rank_k, numerical_rank, orthonormal_rows, pseudoinverse
 from .sampling import lewis_sampling_matrix, lewis_weights
 from .sketch import dvoretzky_gaussian, dvoretzky_right_embedding
 
@@ -91,7 +91,6 @@ class FairLraSolution:
     cost: float
     t_rows: int
     p: float
-    baseline_fallback: bool = False
 
 
 def svd_baseline(data: GroupedMatrix, k: int) -> np.ndarray:
@@ -101,11 +100,15 @@ def svd_baseline(data: GroupedMatrix, k: int) -> np.ndarray:
     return best_rank_k(data.stacked(), k)
 
 
+def spawn_seeds(seed: int, count: int) -> list:
+    """``count`` independent integer seeds derived from ``seed``."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
 def _pipeline_once(A: np.ndarray, p: float, cfg: BicriteriaConfig, seed: int) -> tuple[np.ndarray, int, dict]:
     """One pipeline run on the stacked data: raw factor, sampled rows, phase times."""
     n, d = A.shape
-    child = np.random.SeedSequence(seed).spawn(4)
-    seeds = [int(s.generate_state(1)[0]) for s in child]
+    seeds = spawn_seeds(seed, 4)
 
     t0 = time.perf_counter()
     G = dvoretzky_gaussian(cfg.g_rows, n, p, seeds[0])
@@ -144,17 +147,16 @@ def bicriteria_fair_lra_timed(data: GroupedMatrix, cfg: BicriteriaConfig) -> tup
         zero = np.zeros((1, data.d))
         return FairLraSolution(v_tilde=zero, t=0, cost=0.0, t_rows=0, p=p), total
 
-    run_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.repeats)]
     best: Optional[FairLraSolution] = None
-    for rs in run_seeds:
+    for rs in spawn_seeds(cfg.seed, cfg.repeats):
         v_raw, t_rows, times = _pipeline_once(A, p, cfg, rs)
         v_tilde = orthonormal_rows(v_raw)
         t = v_tilde.shape[0]
         if t == 0:
             v_tilde = np.zeros((1, data.d))
         cost = fair_lra_cost(data, v_tilde)
-        total["time_total"] += times["time_total"]
-        total["time_extract"] += times["time_extract"]
+        for phase in total:
+            total[phase] += times[phase]
         if best is None or cost < best.cost:
             best = FairLraSolution(v_tilde=v_tilde, t=t, cost=cost, t_rows=t_rows, p=p)
     assert best is not None
@@ -167,7 +169,6 @@ def alternating_feasibility(
     alpha: float,
     iters: int = 200,
     seed: int = 0,
-    squared: bool = False,
 ) -> Optional[np.ndarray]:
     """Heuristic feasibility oracle: find a rank-k factor with cost <= alpha.
 
@@ -179,14 +180,12 @@ def alternating_feasibility(
     therefore spent on projected smoothed-max descent over the subspace with
     annealed random restarts. Returns the first factor meeting the threshold,
     or None if the budget is exhausted above it.
-
-    ``alpha`` is read on the squared-cost scale when ``squared`` is set.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if alpha < 0:
         return None
-    alpha_sq = float(alpha) if squared else float(alpha) ** 2
+    alpha_sq = float(alpha) ** 2
     covs = [g.T @ g for g in data.groups]
     totals = np.array([float(np.sum(g * g)) for g in data.groups])
     scale = float(totals.max())
@@ -200,9 +199,8 @@ def alternating_feasibility(
     if best_cost <= alpha_sq + 1e-12 * max(scale, 1.0):
         return best_V
 
-    budget = iters
-    rounds = min(25, budget)
-    budget -= rounds
+    rounds = min(25, iters)
+    budget = iters - rounds
     for _ in range(rounds):
         c = costs_sq(V)
         m = float(c.max())
@@ -220,10 +218,8 @@ def alternating_feasibility(
 
     rng = np.random.default_rng(seed)
     restarts = 4
-    per = max(budget // restarts, 1) if budget > 0 else 0
-    for r in range(restarts):
-        if per == 0:
-            break
+    per = max(budget // restarts, 1)
+    for r in range(restarts if budget > 0 else 0):
         init = best_V + (0.05 * 3.0 ** r) * rng.standard_normal(best_V.shape)
         Q = orthonormal_rows(init)
         for t in range(per):
@@ -253,42 +249,30 @@ def binary_search_fair_lra(
     k: int,
     eps: float,
     oracle: Optional[Callable[[float], Optional[np.ndarray]]] = None,
-    alpha0: Optional[float] = None,
-    squared: bool = False,
     seed: int = 0,
 ) -> FairLraSolution:
     """Shrink a feasibility threshold geometrically and keep the best factor.
 
-    Starts from ``alpha0`` (default: the stacked-SVD baseline cost, which any
-    shared factor can match) and divides by (1 + eps) while the oracle keeps
-    producing factors; stops at the first failure or at the floor
-    1e-9 * alpha0. The oracle maps a threshold to a factor or None; the
-    default is ``alternating_feasibility`` with per-call derived seeds.
-    Returns the baseline factor with ``baseline_fallback`` set if the oracle
-    fails immediately.
+    Starts from the stacked-SVD baseline cost alpha0, which any shared factor
+    can match, and divides by (1 + eps) while the oracle keeps producing
+    factors; stops at the first failure or at the floor 1e-9 * alpha0. The
+    oracle maps a threshold to a factor or None; the default is
+    ``alternating_feasibility`` with per-call derived seeds. Returns the
+    baseline factor if the oracle fails immediately.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     V_base = svd_baseline(data, k)
-    base_cost = fair_lra_cost(data, V_base)
-
-    if alpha0 is None:
-        alpha = base_cost
-    else:
-        alpha = math.sqrt(alpha0) if squared else float(alpha0)
-        if alpha < 0:
-            raise ValueError(f"alpha0 must be non-negative, got {alpha0}")
+    alpha = base_cost = fair_lra_cost(data, V_base)
 
     def default_oracle(a: float, call: int) -> Optional[np.ndarray]:
         return alternating_feasibility(data, k, a, seed=seed + 7919 * call)
 
-    def make_solution(V: np.ndarray, cost: float, fallback: bool) -> FairLraSolution:
-        return FairLraSolution(
-            v_tilde=V, t=int(svd(V).rank), cost=cost, t_rows=0, p=0.0, baseline_fallback=fallback,
-        )
+    def make_solution(V: np.ndarray, cost: float) -> FairLraSolution:
+        return FairLraSolution(v_tilde=V, t=numerical_rank(V), cost=cost, t_rows=0, p=0.0)
 
     if alpha <= 0.0:
-        return make_solution(V_base, base_cost, False)
+        return make_solution(V_base, base_cost)
 
     floor = 1e-9 * alpha
     max_calls = math.ceil(math.log(alpha / floor) / math.log1p(eps))
@@ -306,15 +290,13 @@ def binary_search_fair_lra(
         current /= 1.0 + eps
         if current < floor:
             break
-    if best_V is None:
-        return make_solution(V_base, base_cost, True)
-    if base_cost < best_cost:
-        # keep the cheaper of oracle result and baseline
-        return make_solution(V_base, base_cost, False)
-    return make_solution(best_V, best_cost, False)
+    if best_V is None or base_cost < best_cost:
+        # the oracle failed at once or found nothing cheaper than the baseline
+        return make_solution(V_base, base_cost)
+    return make_solution(best_V, best_cost)
 
 
-def eckart_young_lower_bound(data: GroupedMatrix, k: int, squared: bool = False) -> float:
+def eckart_young_lower_bound(data: GroupedMatrix, k: int) -> float:
     """max_i (group-i tail energy past rank k): a certified fair-cost lower bound.
 
     Any shared rank-k factor serves each group no better than that group's own
@@ -324,4 +306,4 @@ def eckart_young_lower_bound(data: GroupedMatrix, k: int, squared: bool = False)
     for g in data.groups:
         s = np.linalg.svd(g, compute_uv=False)
         worst = max(worst, float(np.sum(s[k:] ** 2)))
-    return worst if squared else math.sqrt(worst)
+    return math.sqrt(worst)

@@ -63,7 +63,6 @@ class FeasibilityModel:
     variable_count: int
     constraint_count: int
     norm: str
-    threshold: float
 
 
 def _solution(data, labels, x, iterations, method, norm) -> RegressionSolution:
@@ -104,7 +103,6 @@ def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, n
     The subgradient comes from the worst group (smallest index on ties);
     convexity gives g(y) >= g(x) + <s, y - x> for every y.
     """
-    labels.validate_against(data)
     x = as_vector(x, "x")
     vals = fair_regression_group_costs(data, labels, x, norm)
     j = int(np.argmax(vals))
@@ -241,13 +239,44 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _linear_terms(coeffs, names) -> str:
-    parts = []
-    for c, name in zip(coeffs, names):
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(c))} {name}")
-    joined = " ".join(parts)
+def _terms(coeffs, names) -> str:
+    """Signed terms "c1 n1 - c2 n2 + ...", with no leading "+ "."""
+    joined = " ".join(f"{'-' if c < 0 else '+'} {_fmt(abs(c))} {name}" for c, name in zip(coeffs, names))
     return joined[2:] if joined.startswith("+ ") else joined
+
+
+def _feasibility_model(data, labels, L, norm: str, constraints) -> FeasibilityModel:
+    """The model around the rows ``constraints(xnames)`` yields.
+
+    Checks the threshold, then writes the header, the objective (the sum of
+    the x's for L1, of their squares for squared L2), the constraints and free
+    bounds on the x's. L1 adds one slack variable per observation.
+    """
+    labels.validate_against(data)
+    if L < 0:
+        raise ValueError(f"threshold must be non-negative, got {L}")
+    squared = norm == "l2"
+    xnames = [f"x{j + 1}" for j in range(data.d)]
+    rows = list(constraints(xnames))
+    objective = _terms(np.ones(data.d), [f"{x} ^2" if squared else x for x in xnames])
+    lines = [
+        f"\\ min-max {'squared-' if squared else ''}{norm.upper()} feasibility model, threshold {_fmt(L)}",
+        "\\ feasible exactly when the threshold is at least the "
+        f"{'squared ' if squared else ''}optimal worst-group {norm.upper()} cost",
+        "Minimize",
+        f" obj: [ {objective} ]" if squared else f" obj: {objective}",
+        "Subject To",
+        *rows,
+        "Bounds",
+        *(f" {x} free" for x in xnames),
+        "End",
+    ]
+    return FeasibilityModel(
+        text="\n".join(lines) + "\n",
+        variable_count=data.d + (0 if squared else data.total_rows),
+        constraint_count=len(rows),
+        norm=norm,
+    )
 
 
 def export_l1_feasibility(data: GroupedMatrix, labels: GroupedLabels, L: float) -> FeasibilityModel:
@@ -259,41 +288,20 @@ def export_l1_feasibility(data: GroupedMatrix, labels: GroupedLabels, L: float) 
     The objective is the constant-role sum of the x's; only feasibility
     matters. Groups and rows are emitted in ascending order.
     """
-    labels.validate_against(data)
-    if L < 0:
-        raise ValueError(f"threshold must be non-negative, got {L}")
-    d = data.d
-    xnames = [f"x{j + 1}" for j in range(d)]
-    lines = [
-        f"\\ min-max L1 feasibility model, threshold {_fmt(L)}",
-        "\\ feasible exactly when the threshold is at least the optimal worst-group L1 cost",
-        "Minimize",
-        " obj: " + _linear_terms(np.ones(d), xnames),
-        "Subject To",
-    ]
-    n_total = 0
-    for i, (A, b) in enumerate(zip(data.groups, labels.targets), start=1):
-        for j in range(A.shape[0]):
-            n_total += 1
-            t = f"t_{i}_{j + 1}"
-            row = _linear_terms(A[j], xnames)
-            lines.append(f" up_{i}_{j + 1}: {row} - 1 {t} <= {_fmt(b[j])}")
-            lines.append(f" lo_{i}_{j + 1}: {row} + 1 {t} >= {_fmt(b[j])}")
-            lines.append(f" pos_{i}_{j + 1}: 1 {t} >= 0")
-    for i, A in enumerate(data.groups, start=1):
-        tnames = [f"t_{i}_{j + 1}" for j in range(A.shape[0])]
-        lines.append(f" grp_{i}: " + _linear_terms(np.ones(len(tnames)), tnames) + f" <= {_fmt(L)}")
-    lines.append("Bounds")
-    for name in xnames:
-        lines.append(f" {name} free")
-    lines.append("End")
-    return FeasibilityModel(
-        text="\n".join(lines) + "\n",
-        variable_count=d + n_total,
-        constraint_count=3 * n_total + data.ell,
-        norm="l1",
-        threshold=float(L),
-    )
+
+    def constraints(xnames):
+        for i, (A, b) in enumerate(zip(data.groups, labels.targets), start=1):
+            for j in range(A.shape[0]):
+                t = f"t_{i}_{j + 1}"
+                row = _terms(A[j], xnames)
+                yield f" up_{i}_{j + 1}: {row} - 1 {t} <= {_fmt(b[j])}"
+                yield f" lo_{i}_{j + 1}: {row} + 1 {t} >= {_fmt(b[j])}"
+                yield f" pos_{i}_{j + 1}: 1 {t} >= 0"
+        for i, A in enumerate(data.groups, start=1):
+            tnames = [f"t_{i}_{j + 1}" for j in range(A.shape[0])]
+            yield f" grp_{i}: " + _terms(np.ones(len(tnames)), tnames) + f" <= {_fmt(L)}"
+
+    return _feasibility_model(data, labels, L, "l1", constraints)
 
 
 def export_l2_feasibility(data: GroupedMatrix, labels: GroupedLabels, L: float) -> FeasibilityModel:
@@ -305,46 +313,19 @@ def export_l2_feasibility(data: GroupedMatrix, labels: GroupedLabels, L: float) 
     (row, col) with row <= col; the x^T x objective plays no feasibility
     role. Feasible exactly when L is at least the squared min-max optimum.
     """
-    labels.validate_against(data)
-    if L < 0:
-        raise ValueError(f"threshold must be non-negative, got {L}")
-    d = data.d
-    xnames = [f"x{j + 1}" for j in range(d)]
-    obj_terms = " + ".join(f"1 {name} ^2" for name in xnames)
-    lines = [
-        f"\\ min-max squared-L2 feasibility model, threshold {_fmt(L)}",
-        "\\ feasible exactly when the threshold is at least the squared optimal worst-group L2 cost",
-        "Minimize",
-        f" obj: [ {obj_terms} ]",
-        "Subject To",
-    ]
-    for i, (A, b) in enumerate(zip(data.groups, labels.targets), start=1):
-        Q = A.T @ A
-        lin = -2.0 * (A.T @ b)
-        qparts = []
-        for r in range(d):
-            for cidx in range(r, d):
-                coeff = Q[r, r] if cidx == r else 2.0 * Q[r, cidx]
-                sign = "-" if coeff < 0 else "+"
-                term = f"{xnames[r]} ^2" if cidx == r else f"{xnames[r]} * {xnames[cidx]}"
-                qparts.append(f"{sign} {_fmt(abs(coeff))} {term}")
-        quad = " ".join(qparts)
-        quad = quad[2:] if quad.startswith("+ ") else quad
-        rhs = float(L) - float(b @ b)
-        lin_terms = _linear_terms(lin, xnames)
-        lin_part = lin_terms if lin_terms.startswith("- ") else "+ " + lin_terms
-        lines.append(f" q_{i}: [ {quad} ] {lin_part} <= {_fmt(rhs)}")
-    lines.append("Bounds")
-    for name in xnames:
-        lines.append(f" {name} free")
-    lines.append("End")
-    return FeasibilityModel(
-        text="\n".join(lines) + "\n",
-        variable_count=d,
-        constraint_count=data.ell,
-        norm="l2",
-        threshold=float(L),
-    )
+
+    def constraints(xnames):
+        d = len(xnames)
+        pairs = [(r, c) for r in range(d) for c in range(r, d)]
+        products = [f"{xnames[r]} ^2" if r == c else f"{xnames[r]} * {xnames[c]}" for r, c in pairs]
+        for i, (A, b) in enumerate(zip(data.groups, labels.targets), start=1):
+            Q = A.T @ A
+            quad = _terms([Q[r, c] if r == c else 2.0 * Q[r, c] for r, c in pairs], products)
+            lin = _terms(-2.0 * (A.T @ b), xnames)
+            lin = lin if lin.startswith("- ") else "+ " + lin
+            yield f" q_{i}: [ {quad} ] {lin} <= {_fmt(float(L) - float(b @ b))}"
+
+    return _feasibility_model(data, labels, L, "l2", constraints)
 
 
 def binary_search_fair_regression(
@@ -364,7 +345,6 @@ def binary_search_fair_regression(
     attempted, which suffices to walk the ell-approximation seed down to a
     (1 + eps)-approximation.
     """
-    labels.validate_against(data)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     seed_sol = stacked_least_squares(data, labels)
@@ -376,9 +356,7 @@ def binary_search_fair_regression(
 
     def default_oracle(thr: float) -> Optional[np.ndarray]:
         inner_eps = max(1e-9, thr * eps / 20.0)
-        sol = minmax_subgradient(
-            data, labels, norm=norm, eps=inner_eps, max_iters=6000, x0=state["x"]
-        )
+        sol = minmax_subgradient(data, labels, norm=norm, eps=inner_eps, x0=state["x"])
         if sol.max_cost < state["best_cost"]:
             state["best_x"], state["best_cost"] = sol.x, sol.max_cost
         if sol.max_cost <= thr * slack:

@@ -24,9 +24,6 @@ class LeverageScores:
     scores: np.ndarray
     rank: int
 
-    def __len__(self) -> int:
-        return int(self.scores.shape[0])
-
 
 @dataclass(frozen=True)
 class LewisWeights:
@@ -88,29 +85,30 @@ def leverage_scores(M) -> LeverageScores:
     return LeverageScores(scores=s, rank=f.rank)
 
 
-def _keep_probabilities(scores: np.ndarray, n: int) -> np.ndarray:
-    # log base 2, clamped so a single-row matrix still keeps its row: a row
-    # with full leverage must survive or the sampler loses unbiasedness.
-    log_factor = math.log2(max(n, 2))
+def _keep_probabilities(scores: np.ndarray) -> np.ndarray:
+    # log base 2 of the score count, clamped so a single-row matrix still keeps
+    # its row: a row with full leverage must survive or the sampler loses
+    # unbiasedness.
+    log_factor = math.log2(max(scores.shape[0], 2))
     return np.minimum(1.0, scores * log_factor)
 
 
-def leverage_sampling_matrix(scores: LeverageScores, n: int, seed: int) -> SamplingMatrix:
+def leverage_sampling_matrix(scores: LeverageScores, seed: int) -> SamplingMatrix:
     """Independent row sampler with inclusion probability min(1, score * log n).
 
-    Each row i is kept independently with probability p_i and rescaled by
-    1/sqrt(p_i), so E||S v||^2 = ||v||^2 for every vector v. Rows with zero
-    leverage are never kept; rows with full leverage are always kept.
+    n is the number of scores. Each row i is kept independently with
+    probability p_i and rescaled by 1/sqrt(p_i), so E||S v||^2 = ||v||^2 for
+    every vector v. Rows with zero leverage are never kept; rows with full
+    leverage are always kept.
     """
-    if len(scores) != n:
-        raise ValueError(f"{len(scores)} scores for {n} rows")
-    probs = _keep_probabilities(scores.scores, n)
+    probs = _keep_probabilities(scores.scores)
+    n = probs.shape[0]
     rng = np.random.default_rng(seed)
     keep = rng.random(n) < probs
     idx = np.flatnonzero(keep)
     return SamplingMatrix(
         indices=idx,
-        scales=1.0 / np.sqrt(probs[idx]) if idx.size else np.zeros(0),
+        scales=1.0 / np.sqrt(probs[idx]),
         source_rows=n,
     )
 

@@ -132,3 +132,13 @@ def test_trials_below_one_is_usage_error(grouped_csv, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert "trials must be >= 1" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+@pytest.mark.parametrize("command", ["lra", "css", "regress"])
+def test_subsample_below_one_is_usage_error(grouped_csv, capsys, command, size):
+    argv = [command, grouped_csv, "--group-col", "grp", "--s", size]
+    rc = main(argv + (["--label-col", "y"] if command == "regress" else []))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"subsample must be >= 1, got {size}" in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,7 @@ class TestAlternatingFeasibility:
 
     def test_reaches_mixed_optimum_on_golden_pair(self):
         data = synthetic_pair()
-        V = alternating_feasibility(data, 2, 4.5, iters=200, seed=0, squared=True)
+        V = alternating_feasibility(data, 2, math.sqrt(4.5), iters=200, seed=0)
         assert V is not None
         assert fair_lra_cost(data, V, squared=True) <= 4.5
 
@@ -149,7 +151,7 @@ class TestBinarySearch:
     def test_failing_oracle_falls_back_to_baseline(self):
         data = synthetic_pair()
         sol = binary_search_fair_lra(data, 2, 0.2, oracle=lambda alpha: None)
-        assert sol.baseline_fallback
+        assert np.array_equal(sol.v_tilde, svd_baseline(data, 2))
         assert sol.cost == pytest.approx(fair_lra_cost(data, svd_baseline(data, 2)))
 
     def test_lower_bound_certificate(self):
@@ -161,9 +163,3 @@ class TestBinarySearch:
             sol = binary_search_fair_lra(data, 2, 0.2, seed=seed)
             assert eckart_young_lower_bound(data, 2) <= sol.cost + 1e-9
 
-
-def test_binary_search_custom_alpha0_squared():
-    data = synthetic_pair()
-    sol = binary_search_fair_lra(data, 2, 0.1, alpha0=64.0, squared=True, seed=3)
-    assert sol.cost <= 8.0 + 1e-12  # sqrt of the squared-scale start
-    assert sol.cost <= fair_lra_cost(data, svd_baseline(data, 2)) + 1e-12

@@ -2,7 +2,10 @@
 
 Row order within a group and the order of the groups do not change what a
 group costs; scaling the data (and targets) by c scales every cost by |c|;
-no factor with k rows beats the rank-k Eckart-Young bound.
+no factor with k rows beats the rank-k Eckart-Young bound. A group seen
+only through the R factor of its thin QR costs what the group costs, which
+is the reduction that lets every Frobenius and L2 objective run on d x d
+blocks (Woodruff, *Sketching as a Tool for Numerical Linear Algebra*, 2014).
 """
 
 import numpy as np
@@ -23,10 +26,14 @@ RTOL = 1e-9
 
 
 @st.composite
-def instances(draw):
-    """Groups with unequal sizes and scales, targets, a k-row factor V and a point x."""
+def instances(draw, tall=False):
+    """Groups with unequal sizes and scales, targets, a k-row factor V and a point x.
+
+    With ``tall`` every group has at least d + 1 rows.
+    """
     d = draw(st.integers(2, 5))
-    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    low = d + 1 if tall else 1
+    sizes = draw(st.lists(st.integers(low, low + 5), min_size=2, max_size=5))
     scales = draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=len(sizes), max_size=len(sizes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups = [s * rng.standard_normal((n, d)) for n, s in zip(sizes, scales)]
@@ -88,3 +95,25 @@ def test_cost_at_least_eckart_young(inst):
     data = GroupedMatrix.from_arrays(groups)
     bound = eckart_young_lower_bound(data, V.shape[0])
     assert fair_lra_cost(data, V) >= bound - RTOL * energy(groups)
+
+
+@SETTINGS
+@given(instances(tall=True))
+def test_r_factor_reduction(inst):
+    groups, targets, V, x, _ = inst
+    d, k = V.shape[1], V.shape[0]
+    scale = energy(groups) + energy([t[:, None] for t in targets])
+    data = GroupedMatrix.from_arrays(groups)
+    reduced = GroupedMatrix.from_arrays([np.linalg.qr(g, mode="r") for g in groups])
+    np.testing.assert_allclose(fair_lra_group_costs(reduced, V), fair_lra_group_costs(data, V),
+                               rtol=RTOL, atol=RTOL * scale)
+    np.testing.assert_allclose(eckart_young_lower_bound(reduced, k), eckart_young_lower_bound(data, k),
+                               rtol=RTOL, atol=RTOL * scale)
+
+    # L2 regression: R of [A_i b_i], split into design and target columns
+    stacked = [np.linalg.qr(np.column_stack([g, t]), mode="r") for g, t in zip(groups, targets)]
+    r_data = GroupedMatrix.from_arrays([r[:, :d] for r in stacked])
+    r_labels = GroupedLabels.from_arrays([r[:, d] for r in stacked])
+    np.testing.assert_allclose(fair_regression_group_costs(r_data, r_labels, x, "l2"),
+                               fair_regression_group_costs(data, GroupedLabels.from_arrays(targets), x, "l2"),
+                               rtol=RTOL, atol=RTOL * scale)

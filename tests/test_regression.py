@@ -201,8 +201,9 @@ class TestFeasibilityExports:
         assert not feasible(0.98)
         m_feas = export_l2_feasibility(data, labels, 1.02)
         m_infeas = export_l2_feasibility(data, labels, 0.98)
-        assert m_feas.threshold == pytest.approx(1.02)
-        assert m_infeas.threshold == pytest.approx(0.98)
+        for model, L in ((m_feas, 1.02), (m_infeas, 0.98)):
+            header = model.text.splitlines()[0]
+            assert float(header.rsplit(" ", 1)[1]) == pytest.approx(L)
 
     def test_text_round_trip_coefficients(self):
         rng = np.random.default_rng(7)
@@ -301,3 +302,67 @@ def test_exports_never_emit_double_signs():
     for model in (export_l1_feasibility(data, labels, 2.0), export_l2_feasibility(data, labels, 2.0)):
         assert "+ -" not in model.text
         assert "- +" not in model.text
+
+
+GOLDEN = make(
+    [np.array([[1.0, 0.0], [0.0, 0.5]]), np.array([[-2.0, 1.0], [0.5, -1.0]])],
+    [np.array([1.0, 0.5]), np.array([2.0, -0.5])],
+)
+
+GOLDEN_L1 = """\\ min-max L1 feasibility model, threshold {L}
+\\ feasible exactly when the threshold is at least the optimal worst-group L1 cost
+Minimize
+ obj: 1 x1 + 1 x2
+Subject To
+ up_1_1: 1 x1 + 0 x2 - 1 t_1_1 <= 1
+ lo_1_1: 1 x1 + 0 x2 + 1 t_1_1 >= 1
+ pos_1_1: 1 t_1_1 >= 0
+ up_1_2: 0 x1 + 0.5 x2 - 1 t_1_2 <= 0.5
+ lo_1_2: 0 x1 + 0.5 x2 + 1 t_1_2 >= 0.5
+ pos_1_2: 1 t_1_2 >= 0
+ up_2_1: - 2 x1 + 1 x2 - 1 t_2_1 <= 2
+ lo_2_1: - 2 x1 + 1 x2 + 1 t_2_1 >= 2
+ pos_2_1: 1 t_2_1 >= 0
+ up_2_2: 0.5 x1 - 1 x2 - 1 t_2_2 <= -0.5
+ lo_2_2: 0.5 x1 - 1 x2 + 1 t_2_2 >= -0.5
+ pos_2_2: 1 t_2_2 >= 0
+ grp_1: 1 t_1_1 + 1 t_1_2 <= {L}
+ grp_2: 1 t_2_1 + 1 t_2_2 <= {L}
+Bounds
+ x1 free
+ x2 free
+End
+"""
+
+GOLDEN_L2 = """\\ min-max squared-L2 feasibility model, threshold {L}
+\\ feasible exactly when the threshold is at least the squared optimal worst-group L2 cost
+Minimize
+ obj: [ 1 x1 ^2 + 1 x2 ^2 ]
+Subject To
+ q_1: [ 1 x1 ^2 + 0 x1 * x2 + 0.25 x2 ^2 ] - 2 x1 - 0.5 x2 <= {rhs1}
+ q_2: [ 4.25 x1 ^2 - 5 x1 * x2 + 2 x2 ^2 ] + 8.5 x1 - 5 x2 <= {rhs2}
+Bounds
+ x1 free
+ x2 free
+End
+"""
+
+
+@pytest.mark.parametrize("L, text", [
+    (0.0, "0"),
+    (0.1, "0.10000000000000001"),
+])
+def test_l1_export_golden_text(L, text):
+    # zero, negative and leading-negative coefficients and a negative right-hand side
+    data, labels = GOLDEN
+    assert export_l1_feasibility(data, labels, L).text == GOLDEN_L1.format(L=text)
+
+
+@pytest.mark.parametrize("L, text, rhs1, rhs2", [
+    (0.0, "0", "-1.25", "-4.25"),
+    (0.1, "0.10000000000000001", "-1.1499999999999999", "-4.1500000000000004"),
+])
+def test_l2_export_golden_text(L, text, rhs1, rhs2):
+    # a zero cross term, a leading negative linear term and negative right-hand sides
+    data, labels = GOLDEN
+    assert export_l2_feasibility(data, labels, L).text == GOLDEN_L2.format(L=text, rhs1=rhs1, rhs2=rhs2)

@@ -44,7 +44,7 @@ class TestLeverageScores:
 class TestLeverageSampling:
     def test_full_leverage_keeps_everything(self):
         ls = leverage_scores(np.eye(5))
-        sm = leverage_sampling_matrix(ls, 5, seed=0)
+        sm = leverage_sampling_matrix(ls, seed=0)
         assert np.array_equal(sm.indices, np.arange(5))
         assert np.allclose(sm.scales, 1.0)
 
@@ -52,7 +52,7 @@ class TestLeverageSampling:
         M = np.vstack([np.eye(3), np.zeros((4, 3))])
         ls = leverage_scores(M)
         for seed in range(50):
-            sm = leverage_sampling_matrix(ls, 7, seed=seed)
+            sm = leverage_sampling_matrix(ls, seed=seed)
             assert np.all(sm.indices < 3)
 
     def test_unbiased_squared_norm(self):
@@ -63,14 +63,14 @@ class TestLeverageSampling:
         target = float(v @ v)
         means = []
         for seed in range(2000):
-            sm = leverage_sampling_matrix(ls, 50, seed=seed)
+            sm = leverage_sampling_matrix(ls, seed=seed)
             means.append(float(np.sum(sm.apply(v[:, None]) ** 2)))
         assert abs(np.mean(means) - target) <= 0.05 * target
 
     def test_determinism(self):
         ls = leverage_scores(np.random.default_rng(3).standard_normal((20, 4)))
-        a = leverage_sampling_matrix(ls, 20, seed=5)
-        b = leverage_sampling_matrix(ls, 20, seed=5)
+        a = leverage_sampling_matrix(ls, seed=5)
+        b = leverage_sampling_matrix(ls, seed=5)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.scales, b.scales)
 
