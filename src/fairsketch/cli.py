@@ -8,6 +8,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -51,12 +53,13 @@ def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
+    default = {f.name: f.default for f in dataclasses.fields(BicriteriaConfig)}
     p.add_argument("--k", type=int, default=2, help="rank / column parameter")
     p.add_argument("--p", type=float, help="Lewis sampling exponent override")
-    p.add_argument("--c", type=float, default=0.5, help="trade-off parameter in (0,1)")
-    p.add_argument("--g-rows", type=int, default=30)
-    p.add_argument("--h-cols", type=int, default=30)
-    p.add_argument("--lewis-iters", type=int, default=10)
+    p.add_argument("--c", type=float, default=default["c"], help="trade-off parameter in (0,1)")
+    p.add_argument("--g-rows", type=int, default=default["g_rows"])
+    p.add_argument("--h-cols", type=int, default=default["h_cols"])
+    p.add_argument("--lewis-iters", type=int, default=default["lewis_iterations"])
     p.add_argument("--lewis-samples", type=int, help="row budget of the Lewis sampler (default k)")
     p.add_argument("--squared", action="store_true", help="report squared costs")
 
@@ -144,6 +147,8 @@ def _cmd_regress(args) -> int:
     for lbl, cst in zip(data.labels, sol.per_group_costs):
         print(f"group {lbl}: cost {cst:.6g}")
     print(f"max cost: {sol.max_cost:.6g}")
+    if math.isfinite(sol.gap):
+        print(f"certified lower bound: {sol.max_cost - sol.gap:.6g}")
     return EXIT_OK
 
 

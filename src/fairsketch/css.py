@@ -55,8 +55,6 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
     group's factor is replaced by its own least-squares fit onto the selected
     columns.
     """
-    if cfg.k > data.d:
-        raise ValueError(f"k={cfg.k} exceeds feature count {data.d}")
     lra_sol = bicriteria_fair_lra(data, cfg)
     v_tilde = lra_sol.v_tilde
     budget = css_budget(cfg.k)

@@ -138,8 +138,11 @@ def bicriteria_fair_lra_timed(data: GroupedMatrix, cfg: BicriteriaConfig) -> tup
     ``time_total`` covers the sketch, the Lewis sampling and the factor
     extraction; ``time_extract`` is the extraction alone. Neither covers the
     orthonormalisation of the factor or the cost evaluation. With repeats the
-    times accumulate over runs.
+    times accumulate over runs. A k above the feature count is rejected
+    before any sketch runs.
     """
+    if cfg.k > data.d:
+        raise ValueError(f"k={cfg.k} exceeds feature count {data.d}")
     A = data.stacked()
     p = cfg.exponent(data.ell)
     total = {"time_total": 0.0, "time_extract": 0.0}

@@ -6,23 +6,26 @@ hence convex, so three complementary routes are provided:
 * ``stacked_least_squares`` -- the ordinary least-squares solution of the
   stacked system; its worst-group cost is within a factor ell of the
   min-max optimum, which makes it the standard seed for threshold search.
-* ``minmax_subgradient`` -- projected subgradient descent on g over the box
-  [-delta, delta]^d, with Polyak-style steps driven by a geometrically
-  decaying gap estimate.
+* ``minmax_subgradient`` -- the direct solver over the box
+  [-delta, delta]^d. L2 is solved exactly, as the second-order cone program
+  min t s.t. ||R_i [x; -1]|| <= t on the per-group R factors, by a
+  log-barrier Newton method that returns a certified duality gap. L1 runs
+  projected subgradient descent with Polyak-style steps driven by a
+  geometrically decaying gap estimate.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
   constrained program (L2, threshold on the squared cost), emitted in a
   CPLEX-LP-style text format for external solvers.
 
 ``binary_search_fair_regression`` shrinks the threshold geometrically from
-the stacked seed, consulting a feasibility oracle (by default the
-subgradient solver) until it fails.
+the stacked seed, consulting a feasibility oracle (by default
+``minmax_subgradient``) until it fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +40,11 @@ from .linalg import NumericError, as_vector, pseudoinverse
 
 DELTA_MIN = 1.0
 DELTA_MAX = 1e6
+BARRIER_GROWTH = 20.0  # tau multiplier per outer barrier step
+NEWTON_TOL = 1e-10  # centring ends when the squared Newton decrement is below this
+FULL_STEP = 0.25  # squared decrement below which Newton steps are taken whole
+INTERIOR = 0.99  # barrier start points are clipped to this fraction of the box
+GAP_FLOOR = 1e-9  # below this relative gap the slacks t - ||r_i|| keep too few digits for Newton steps
 
 
 class OracleContractError(RuntimeError):
@@ -45,7 +53,11 @@ class OracleContractError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegressionSolution:
-    """Solution vector with per-group losses and the driving method tag."""
+    """Solution vector with per-group losses and the driving method tag.
+
+    ``gap`` is certified: ``max_cost - gap`` is at most the optimum. It is
+    inf where nothing is certified (stacked least squares and L1).
+    """
 
     x: np.ndarray
     per_group_costs: np.ndarray
@@ -53,6 +65,7 @@ class RegressionSolution:
     iterations: int
     method: str
     norm: str
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,7 @@ def _solution(data, labels, x, iterations, method, norm) -> RegressionSolution:
         iterations=int(iterations),
         method=method,
         norm=norm,
+        gap=math.inf,
     )
 
 
@@ -139,6 +153,119 @@ def _min_norm_in_hull(gradients: np.ndarray) -> np.ndarray:
     return gradients.T @ lam
 
 
+def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSolution:
+    """min t s.t. ||A_i x - b_i|| <= t, |x_j| < delta, by a log-barrier Newton method.
+
+    Each group enters only through R_i, the thin-QR factor of [A_i b_i]
+    (zero-padded to d + 1 rows), since ||A_i x - b_i|| = ||R_i [x; -1]||; a
+    Newton step therefore costs O(ell d^3) whatever the row counts. Columns
+    are scaled to unit norm and costs to s, the start point's worst-group
+    cost (the stacked least-squares seed's unless ``x0`` is given): with
+    x = s u / col, the residual over s is r_i = M_i u - beta_i, where M_i and
+    beta_i are R_i's scaled design and target columns. Each outer step
+    centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
+    box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
+    BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11).
+
+    After each centring a dual point certifies a lower bound on the optimum
+    over all x. With w_i = 1/(t^2 - ||r_i||^2), z_i = w_i r_i is moved to the
+    nearest point with sum_i M_i^T z_i = 0; by Cauchy-Schwarz, every u then
+    has max_i ||M_i u - beta_i|| >= sum_i <z_i, M_i u - beta_i> / sum_i
+    max(t w_i, ||z_i||) = -sum_i <z_i, beta_i> / sum_i max(t w_i, ||z_i||).
+    The rounding left in sum_i M_i^T z_i is charged against the box. On the
+    central path the bound is within nu / tau (nu = 2 (ell + d)) of the cost.
+    The run stops once the cost is within ``eps`` of the best bound so far,
+    once nu / tau falls below GAP_FLOOR times the cost, or after
+    ``max_iters`` Newton steps. When the box cuts off every minimiser the
+    gap stays open and the run ends at the floor.
+    """
+    d, ell = data.d, data.ell
+    R = np.zeros((ell, d + 1, d + 1))
+    for i, (A, b) in enumerate(zip(data.groups, labels.targets)):
+        f = np.linalg.qr(np.column_stack([A, b]), mode="r")
+        R[i, : f.shape[0]] = f
+    col = np.linalg.norm(R[:, :, :d], axis=(0, 1))
+    col[col == 0.0] = 1.0
+    M = R[:, :, :d] / col  # unit-norm design columns
+    P = pseudoinverse(M.reshape(-1, d))
+    seed = P @ R[:, :, d].reshape(-1) / col
+    fit = 1e-12 * max(float(np.linalg.norm(R[:, :, d], axis=1).max()), 1.0)
+
+    def worst(x):
+        return float(np.linalg.norm(R[:, :, :d] @ x - R[:, :, d], axis=1).max())
+
+    start = seed if x0 is None or worst(seed) <= fit else x0
+    start = np.clip(start, -INTERIOR * delta, INTERIOR * delta)
+    scale = worst(start)
+    if scale <= fit:  # an exact fit: the Newton system would be singular at t = 0
+        sol = _solution(data, labels, start, 0, "barrier", "l2")
+        return replace(sol, gap=sol.max_cost)  # the trivial bound OPT >= 0
+
+    beta = R[:, :, d] / scale
+    lim = delta * col / scale
+    u = start * col / scale
+    t = 2.0  # twice the start point's scaled worst-group cost
+    nu = 2.0 * (ell + d)
+    tau = nu / t
+
+    def rise(du, dt):
+        """Centring objective at (u + du, t + dt) minus its value at (u, t).
+
+        A sum of log ratios against the current slacks 1/w and box, so that
+        it does not cancel against tau * t once tau is large.
+        """
+        un, tn = u + du, t + dt
+        q = tn * tn - np.sum((M @ un - beta) ** 2, axis=1)
+        slack = lim * lim - un * un
+        if tn <= 0.0 or np.any(q <= 0.0) or np.any(slack <= 0.0):
+            return math.inf
+        return tau * dt - float(np.sum(np.log(q * w)) + np.sum(np.log(slack / box)))
+
+    steps, stalled, lower = 0, False, -math.inf
+    while True:
+        previous = math.inf
+        while steps < max_iters and not stalled:
+            r = M @ u - beta
+            w = 1.0 / (t * t - np.sum(r * r, axis=1))
+            m = np.einsum("ijk,ij->ik", M, r)  # M_i^T r_i
+            box = lim * lim - u * u
+            grad = np.append(2.0 * w @ m + 2.0 * u / box, tau - 2.0 * t * w.sum())
+            H = np.empty((d + 1, d + 1))
+            Ws = (M * np.sqrt(2.0 * w)[:, None, None]).reshape(-1, d)
+            H[:d, :d] = Ws.T @ Ws + (m.T * (4.0 * w * w)) @ m + np.diag(2.0 * (lim * lim + u * u) / (box * box))
+            H[:d, d] = H[d, :d] = -4.0 * t * (w * w) @ m
+            H[d, d] = 2.0 * float(w * w @ (t * t + np.sum(r * r, axis=1)))
+            step = np.linalg.solve(H, -grad)
+            decrement = -float(grad @ step)
+            if decrement <= NEWTON_TOL or decrement >= previous:
+                break  # centred, or rounding has overtaken the quadratic convergence
+            # Backtrack on the objective while damped; below FULL_STEP, self-concordance keeps
+            # the whole step feasible, so only feasibility is checked and rounding cannot stall it.
+            target = -0.25 * decrement if decrement > FULL_STEP else math.inf
+            previous = math.inf if decrement > FULL_STEP else decrement
+            a = 1.0
+            while a >= 1e-12 and not rise(a * step[:d], a * step[d]) < a * target:
+                a *= 0.5
+            steps += 1
+            stalled = a < 1e-12  # no descent left at working precision
+            if not stalled:
+                u, t = u + a * step[:d], t + a * step[d]
+        r = M @ u - beta
+        w = 1.0 / (t * t - np.sum(r * r, axis=1))
+        z = w[:, None] * r
+        z -= (P.T @ np.einsum("ijk,ij->k", M, z)).reshape(ell, d + 1)
+        residual = np.einsum("ijk,ij->k", M, z)  # zero but for rounding
+        weight = float(np.maximum(t * w, np.linalg.norm(z, axis=1)).sum())
+        lower = max(lower, (-float(np.sum(z * beta)) - float(lim @ np.abs(residual))) / weight)
+        cost = float(np.sqrt(np.max(np.sum(r * r, axis=1))))
+        if (cost - lower) * scale <= eps or nu / tau <= GAP_FLOOR * t or steps >= max_iters or stalled:
+            break
+        tau *= BARRIER_GROWTH
+
+    sol = _solution(data, labels, u * scale / col, steps, "barrier", "l2")
+    return replace(sol, gap=max(sol.max_cost - lower * scale, 0.0))
+
+
 def minmax_subgradient(
     data: GroupedMatrix,
     labels: GroupedLabels,
@@ -148,8 +275,17 @@ def minmax_subgradient(
     box_delta: Optional[float] = None,
     x0=None,
 ) -> RegressionSolution:
-    """Projected subgradient descent on the worst-group loss.
+    """Minimise the worst-group loss over the box [-box_delta, box_delta]^d.
 
+    L2 is solved exactly: a log-barrier Newton method on the per-group R
+    factors (``_minmax_l2_barrier``) returns method "barrier", counts Newton
+    steps in ``iterations`` and sets ``gap`` to a certified duality gap, so
+    that ``max_cost - gap`` is at most the optimum over all x. It stops once
+    that gap is at most ``eps``, an absolute cost tolerance, at a precision
+    floor near a relative gap of 1e-9, or after ``max_iters`` Newton steps.
+    An exact fit inside the box returns at once with no steps.
+
+    L1 runs projected subgradient descent (method "subgradient", gap inf).
     The main loop takes Polyak-style steps, (g(x) - target) / ||s||^2 along
     the worst group's subgradient, with target = best value seen minus a gap
     estimate. Whenever 40 consecutive steps fail to improve, the gap halves
@@ -158,9 +294,12 @@ def minmax_subgradient(
     descent direction for the max, and an exact ternary line search walks it
     (plain Polyak steps crawl when tied groups have nearly antiparallel
     gradients, so this polish is what reaches tight tolerances on degenerate
-    valleys). The run stops once the gap estimate falls below eps/8.
-    Iterates stay inside the box [-box_delta, box_delta]^d (radius from
-    ``default_box_radius`` if unset). Returns the best iterate encountered.
+    valleys). The run stops once the gap estimate falls below eps/8 and
+    returns the best iterate encountered.
+
+    Both start from ``x0`` when given (the L2 solver from the stacked seed
+    otherwise, the L1 loop from zero) and keep their iterates inside the box,
+    whose radius comes from ``default_box_radius`` if unset.
     """
     labels.validate_against(data)
     if eps <= 0:
@@ -174,6 +313,8 @@ def minmax_subgradient(
     x = np.clip(as_vector(x0, "x0"), -delta, delta) if x0 is not None else np.zeros(data.d)
     if x.shape[0] != data.d:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {data.d}")
+    if norm == "l2":
+        return _minmax_l2_barrier(data, labels, eps, max_iters, delta, None if x0 is None else x)
 
     def max_cost(at: np.ndarray) -> float:
         return float(np.max(fair_regression_group_costs(data, labels, at, norm)))
@@ -338,12 +479,16 @@ def binary_search_fair_regression(
     """Threshold search: shrink L by (1 + eps) while it stays feasible.
 
     L starts at the stacked-least-squares worst-group cost. An oracle call
-    at threshold L must return an x with cost at most L * (1 + eps/4) (the
-    default runs the subgradient solver, warm-started from the previous
-    accept) or None; a returned x that misses its threshold raises
-    OracleContractError. At most ceil(log_{1+eps}(ell)) + 2 shrink steps are
-    attempted, which suffices to walk the ell-approximation seed down to a
-    (1 + eps)-approximation.
+    at threshold L must return an x with cost at most L * (1 + eps/4) or
+    None; a returned x that misses its threshold raises
+    OracleContractError. The default oracle runs ``minmax_subgradient``,
+    warm-started from the previous accept: for L2 that solve is exact to
+    within L * eps / 20, so the first probe already reaches the optimum and
+    the search only confirms it; for L1 it is the subgradient loop. At most
+    ceil(log_{1+eps}(ell)) + 2 shrink steps are attempted, which suffices to
+    walk the ell-approximation seed down to a (1 + eps)-approximation.
+    ``gap`` carries the best certificate the default oracle's solves gave
+    (inf with a caller's oracle or for L1).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -352,11 +497,12 @@ def binary_search_fair_regression(
     level = fair_regression_cost(data, labels, x_best, norm)
     slack = 1.0 + eps / 4.0
 
-    state = {"x": x_best, "best_x": x_best, "best_cost": level}
+    state = {"x": x_best, "best_x": x_best, "best_cost": level, "lower": -math.inf}
 
     def default_oracle(thr: float) -> Optional[np.ndarray]:
         inner_eps = max(1e-9, thr * eps / 20.0)
         sol = minmax_subgradient(data, labels, norm=norm, eps=inner_eps, x0=state["x"])
+        state["lower"] = max(state["lower"], sol.max_cost - sol.gap)
         if sol.max_cost < state["best_cost"]:
             state["best_x"], state["best_cost"] = sol.x, sol.max_cost
         if sol.max_cost <= thr * slack:
@@ -384,4 +530,5 @@ def binary_search_fair_regression(
     if oracle is None and state["best_cost"] < fair_regression_cost(data, labels, x_best, norm):
         # a failed probe may still have found a strictly better point; keep it
         x_best = state["best_x"]
-    return _solution(data, labels, x_best, shrinks, "binary-search", norm)
+    sol = _solution(data, labels, x_best, shrinks, "binary-search", norm)
+    return replace(sol, gap=max(sol.max_cost - state["lower"], 0.0))

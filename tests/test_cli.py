@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fairsketch.cli import main
+from fairsketch import lra
+from fairsketch.cli import _config, build_parser, main
+from fairsketch.lra import BicriteriaConfig
 
 
 @pytest.fixture
@@ -51,6 +53,30 @@ def test_regress_command(grouped_csv, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "max cost:" in out
+    values = dict(line.split(": ", 1) for line in out.splitlines() if line.startswith(("max cost", "certified")))
+    assert 0.0 <= float(values["certified lower bound"]) <= float(values["max cost"])
+
+    rc = main(["regress", grouped_csv, "--group-col", "grp", "--label-col", "y", "--method", "stacked"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "max cost:" in out and "certified lower bound" not in out
+
+
+@pytest.mark.parametrize("command", ["lra", "css"])
+def test_k_above_feature_count_rejected_before_the_sketch(grouped_csv, capsys, monkeypatch, command):
+    def pipeline_ran(*args, **kwargs):
+        raise AssertionError("the sketch ran before k was checked")
+
+    monkeypatch.setattr(lra, "_pipeline_once", pipeline_ran)
+    rc = main([command, grouped_csv, "--group-col", "grp", "--features", "a,b,c", "--k", "99"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "k=99 exceeds feature count 3" in err
+
+
+def test_sketch_flags_default_to_the_library_config(grouped_csv):
+    args = build_parser().parse_args(["lra", grouped_csv, "--group-col", "grp"])
+    assert _config(args) == BicriteriaConfig(k=2, seed=args.seed)
 
 
 def test_regress_export(grouped_csv, tmp_path, capsys):

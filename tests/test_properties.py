@@ -2,7 +2,8 @@
 
 Row order within a group and the order of the groups do not change what a
 group costs; scaling the data (and targets) by c scales every cost by |c|;
-no factor with k rows beats the rank-k Eckart-Young bound. A group seen
+no factor with k rows beats the rank-k Eckart-Young bound. The min-max L2
+optimum inherits the same invariances. A group seen
 only through the R factor of its thin QR costs what the group costs, which
 is the reduction that lets every Frobenius and L2 objective run on d x d
 blocks (Woodruff, *Sketching as a Tool for Numerical Linear Algebra*, 2014).
@@ -20,6 +21,7 @@ from fairsketch.grouped import (
     fair_regression_group_costs,
 )
 from fairsketch.lra import eckart_young_lower_bound
+from fairsketch.regression import minmax_subgradient, stacked_least_squares
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
 RTOL = 1e-9
@@ -117,3 +119,32 @@ def test_r_factor_reduction(inst):
     np.testing.assert_allclose(fair_regression_group_costs(r_data, r_labels, x, "l2"),
                                fair_regression_group_costs(data, GroupedLabels.from_arrays(targets), x, "l2"),
                                rtol=RTOL, atol=RTOL * scale)
+
+
+def l2_optimum(groups, targets) -> float:
+    """Min-max L2 cost, solved to 1e-8 of the stacked seed's cost."""
+    data = GroupedMatrix.from_arrays(groups)
+    labels = GroupedLabels.from_arrays(targets)
+    seed = stacked_least_squares(data, labels).max_cost
+    scale = energy(groups) + energy([t[:, None] for t in targets])
+    return minmax_subgradient(data, labels, eps=max(1e-8 * seed, 1e-12 * scale)).max_cost
+
+
+@SETTINGS
+@given(instances(), st.floats(1e-3, 1e3))
+def test_l2_optimum_scales_with_the_data(inst, c):
+    groups, targets, _, _, _ = inst
+    scale = energy(groups) + energy([t[:, None] for t in targets])
+    scaled = l2_optimum([c * g for g in groups], [c * t for t in targets])
+    np.testing.assert_allclose(scaled, c * l2_optimum(groups, targets), rtol=1e-6, atol=1e-9 * c * scale)
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_l2_optimum_ignores_row_and_group_order(inst, data):
+    groups, targets, _, _, rng = inst
+    scale = energy(groups) + energy([t[:, None] for t in targets])
+    rows = [rng.permutation(g.shape[0]) for g in groups]
+    order = data.draw(st.permutations(range(len(groups))))
+    shuffled = l2_optimum([groups[i][rows[i]] for i in order], [targets[i][rows[i]] for i in order])
+    np.testing.assert_allclose(shuffled, l2_optimum(groups, targets), rtol=1e-6, atol=1e-9 * scale)

@@ -66,6 +66,7 @@ class TestStackedLeastSquares:
         sol = stacked_least_squares(data, labels)
         assert sol.max_cost == pytest.approx(float(sol.per_group_costs.max()), abs=1e-12)
         assert sol.max_cost == pytest.approx(fair_regression_cost(data, labels, sol.x), abs=1e-12)
+        assert sol.gap == math.inf  # no certificate
 
 
 class TestSubgradient:
@@ -110,6 +111,85 @@ class TestSubgradient:
                 for h in (1e-3, 1e-4):
                     g1 = fair_regression_cost(data, labels, x + h * direction, norm)
                     assert g1 >= g0 + h * float(s @ direction) - 1e-9
+
+
+class TestBarrier:
+    """The exact L2 solver behind ``minmax_subgradient(norm="l2")``."""
+
+    def test_certified_gap_brackets_grid_optimum(self):
+        rng = np.random.default_rng(19)
+        for i in range(20):
+            groups, targets = random_grouped(rng, int(rng.integers(2, 4)), 2)
+            data, labels = make(groups, targets)
+            sol = minmax_subgradient(data, labels, eps=1e-6, box_delta=4.0)
+            # a finer grid than criterion 9's: its default is up to 5e-5 above the optimum here
+            opt, _ = grid_minmax_regression(groups, targets, radius=4.0, points=301, levels=10, zoom=20)
+            assert sol.method == "barrier" and sol.norm == "l2"
+            assert sol.max_cost - sol.gap <= opt <= sol.max_cost + 1e-6, f"instance {i}"
+            assert np.all(np.abs(sol.x) < 4.0), f"instance {i}"
+
+    def test_gap_is_certified_before_convergence(self):
+        # a few Newton steps leave the iterate far from the central path; the bound must hold anyway
+        rng = np.random.default_rng(29)
+        for i in range(10):
+            groups, targets = random_grouped(rng, int(rng.integers(2, 4)), 2)
+            data, labels = make(groups, targets)
+            opt, _ = grid_minmax_regression(groups, targets, radius=4.0)
+            for max_iters in (1, 2, 4):
+                sol = minmax_subgradient(data, labels, max_iters=max_iters, box_delta=4.0)
+                assert sol.iterations <= max_iters
+                assert sol.max_cost - sol.gap <= opt, f"instance {i}, {max_iters} steps"
+
+    def test_gap_is_at_most_eps(self):
+        rng = np.random.default_rng(12)
+        groups = [s * rng.standard_normal((n, 5)) for n, s in ((40, 1.0), (25, 3.0), (60, 0.5))]
+        targets = [g @ rng.standard_normal(5) + rng.standard_normal(g.shape[0]) for g in groups]
+        data, labels = make(groups, targets)
+        for eps in (1e-2, 1e-4, 1e-6):
+            sol = minmax_subgradient(data, labels, eps=eps)
+            assert 0.0 <= sol.gap <= eps
+            assert sol.max_cost == pytest.approx(fair_regression_cost(data, labels, sol.x), abs=1e-12)
+        # a tolerance below working precision ends at the floor, not at the step cap
+        sol = minmax_subgradient(data, labels, eps=1e-14)
+        assert sol.iterations < 100
+        assert sol.gap <= 1e-7 * sol.max_cost
+
+    def test_exact_fit_returns_without_newton_steps(self):
+        # two 1-row groups in the plane: the stacked seed fits both, and the Newton system is singular there
+        data, labels = make([np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]])], [np.array([0.5]), np.array([2.0])])
+        sol = minmax_subgradient(data, labels, eps=1e-6, box_delta=4.0)
+        assert sol.max_cost <= 1e-9
+        assert sol.gap <= 1e-9
+        assert sol.iterations == 0
+
+    def test_iterates_stay_inside_the_box(self):
+        # the optimum x = 11 lies outside the box; the best point in it sits at the edge
+        data, labels = make([np.array([[1.0]]), np.array([[1.0]])], [np.array([10.0]), np.array([12.0])])
+        sol = minmax_subgradient(data, labels, eps=1e-6, box_delta=2.0)
+        assert abs(sol.x[0]) < 2.0
+        assert sol.max_cost == pytest.approx(10.0, abs=1e-6)
+        assert sol.max_cost - sol.gap <= 1.0  # the certificate bounds the optimum over all x
+
+    def test_x0_outside_the_box_is_clipped_into_it(self):
+        data, labels = SYMMETRIC_1D
+        cold = minmax_subgradient(data, labels, eps=1e-8, box_delta=2.0)
+        warm = minmax_subgradient(data, labels, eps=1e-8, box_delta=2.0, x0=[5.0])
+        assert warm.max_cost == pytest.approx(cold.max_cost, abs=1e-8)
+        assert warm.iterations != cold.iterations
+
+    @pytest.mark.parametrize("seed, kwargs, x, iterations", [
+        (0, {"box_delta": 4.0, "eps": 1e-6}, [-0.30702920297324027, -0.09152469645001281], 923),
+        (1, {}, [-0.023503456174154017, -0.31716925321367123, -0.46726863752689896], 844),
+    ])
+    def test_l1_keeps_the_subgradient_loop(self, seed, kwargs, x, iterations):
+        # outputs of the L1 subgradient loop before the L2 solver was added, pinned bit for bit
+        rng = np.random.default_rng(61)
+        instances = [random_grouped(rng, 3, 2), random_grouped(rng, 2, 3, max_rows=6)]
+        data, labels = make(*instances[seed])
+        sol = minmax_subgradient(data, labels, norm="l1", **kwargs)
+        assert sol.method == "subgradient" and sol.gap == math.inf
+        assert sol.x.tolist() == x
+        assert sol.iterations == iterations
 
 
 class TestFeasibilityExports:
@@ -271,6 +351,8 @@ class TestBinarySearch:
         sol = binary_search_fair_regression(data, labels, eps=eps)
         assert sol.max_cost <= (1 + eps) * 1.0 + 1e-3
         assert sol.iterations <= math.ceil(math.log(2) / math.log1p(eps)) + 2
+        assert sol.max_cost - sol.gap <= 1.0  # the default oracle's certificate; the optimum is 1
+        assert binary_search_fair_regression(data, labels, eps=eps, norm="l1").gap == math.inf
 
     def test_levels_shrink_geometrically(self):
         rng = np.random.default_rng(9)
@@ -283,7 +365,7 @@ class TestBinarySearch:
             sol = minmax_subgradient(data, labels, eps=1e-7, x0=None)
             return sol.x if sol.max_cost <= L * 1.0125 else None
 
-        binary_search_fair_regression(data, labels, eps=0.05, oracle=oracle)
+        assert binary_search_fair_regression(data, labels, eps=0.05, oracle=oracle).gap == math.inf
         for a, b in zip(thresholds, thresholds[1:]):
             assert b == pytest.approx(a / 1.05, rel=1e-12)
 
