@@ -7,11 +7,11 @@ hence convex, so three complementary routes are provided:
   stacked system; its worst-group cost is within a factor ell of the
   min-max optimum, which makes it the standard seed for threshold search.
 * ``minmax_subgradient`` -- the direct solver over the box
-  [-delta, delta]^d. L2 is solved exactly, as the second-order cone program
-  min t s.t. ||R_i [x; -1]|| <= t on the per-group R factors, by a
-  log-barrier Newton method that returns a certified duality gap. L1 runs
-  projected subgradient descent with Polyak-style steps driven by a
-  geometrically decaying gap estimate.
+  [-delta, delta]^d, exact in both norms and returning a certified duality
+  gap. L2 is the second-order cone program min t s.t. ||R_i [x; -1]|| <= t
+  on the per-group R factors, solved by a log-barrier Newton method; L1 is
+  a linear program, solved by Mehrotra's primal-dual interior-point method
+  on a (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
   constrained program (L2, threshold on the squared cost), emitted in a
@@ -36,7 +36,7 @@ from .grouped import (
     fair_regression_cost,
     fair_regression_group_costs,
 )
-from .linalg import NumericError, as_vector, pseudoinverse
+from .linalg import as_vector, pseudoinverse, svd
 
 DELTA_MIN = 1.0
 DELTA_MAX = 1e6
@@ -44,6 +44,9 @@ BARRIER_GROWTH = 20.0  # tau multiplier per outer barrier step
 NEWTON_TOL = 1e-10  # centring ends when the squared Newton decrement is below this
 FULL_STEP = 0.25  # squared decrement below which Newton steps are taken whole
 INTERIOR = 0.99  # barrier start points are clipped to this fraction of the box
+REGULARISE = 1e-14  # shift of K's diagonal, relative to its largest entry, that keeps its pivots positive late in a run
+GRAM_ROWS = 512  # rows per block of K's weighted Gram matrix: n x d temporaries fragment the heap
+TO_BOUNDARY = 0.99  # interior-point steps go this fraction of the way to the nearest bound s, z >= 0
 GAP_FLOOR = 1e-9  # below this relative gap the slacks t - ||r_i|| keep too few digits for Newton steps
 
 
@@ -56,7 +59,8 @@ class RegressionSolution:
     """Solution vector with per-group losses and the driving method tag.
 
     ``gap`` is certified: ``max_cost - gap`` is at most the optimum. It is
-    inf where nothing is certified (stacked least squares and L1).
+    finite for the L1 and L2 solvers and inf only for stacked least squares,
+    which certifies nothing.
     """
 
     x: np.ndarray
@@ -102,55 +106,34 @@ def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> Regress
     return _solution(data, labels, x, 0, "stacked", "l2")
 
 
-def _group_subgradient(A: np.ndarray, b: np.ndarray, x: np.ndarray, norm: str) -> np.ndarray:
-    """Subgradient of x -> ||A x - b|| (zero at an exact L2 fit)."""
-    r = A @ x - b
-    if norm == "l1":
-        return A.T @ np.sign(r)
-    nr = float(np.linalg.norm(r))
-    return A.T @ (r / nr) if nr > 0.0 else np.zeros(A.shape[1])
-
-
 def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, norm: str = "l2"):
     """Value and one subgradient of g(x) = max_i ||A_i x - b_i||.
 
-    The subgradient comes from the worst group (smallest index on ties);
-    convexity gives g(y) >= g(x) + <s, y - x> for every y.
+    The subgradient comes from the worst group (smallest index on ties; zero
+    at an exact L2 fit); convexity gives g(y) >= g(x) + <s, y - x> for every y.
     """
     x = as_vector(x, "x")
     vals = fair_regression_group_costs(data, labels, x, norm)
     j = int(np.argmax(vals))
-    return float(vals[j]), _group_subgradient(data.groups[j], labels.targets[j], x, norm)
+    A = data.groups[j]
+    r = A @ x - labels.targets[j]
+    if norm == "l1":
+        return float(vals[j]), A.T @ np.sign(r)
+    return float(vals[j]), A.T @ (r / vals[j]) if vals[j] > 0.0 else np.zeros(data.d)
 
 
-def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
-    """Box radius 10 * (max_i ||b_i|| / sigma_min(stacked A) + 1), clipped."""
-    s = np.linalg.svd(data.stacked(), compute_uv=False)
+def _box_radius(design: np.ndarray, bmax: float) -> float:
+    """10 * (bmax / sigma_min(design) + 1), clipped; sigma_min is the smallest non-negligible singular value."""
+    s = np.linalg.svd(design, compute_uv=False)
     positive = s[s > 1e-12 * (s[0] if s.size else 1.0)]
     sigma_min = float(positive[-1]) if positive.size else 0.0
-    bmax = max(float(np.linalg.norm(b)) for b in labels.targets)
     radius = 10.0 * (bmax / sigma_min + 1.0) if sigma_min > 0.0 else DELTA_MAX
     return float(np.clip(radius, DELTA_MIN, DELTA_MAX))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1), 0.0)
-
-
-def _min_norm_in_hull(gradients: np.ndarray) -> np.ndarray:
-    """Shortest vector in the convex hull of the rows (tiny projected-gradient QP)."""
-    m = gradients.shape[0]
-    if m == 1:
-        return gradients[0]
-    Q = gradients @ gradients.T
-    lam = np.full(m, 1.0 / m)
-    lipschitz = 2.0 * np.linalg.norm(Q, 2) + 1e-30
-    for _ in range(300):
-        lam = _project_simplex(lam - (2.0 / lipschitz) * (Q @ lam))
-    return gradients.T @ lam
+def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
+    """Box radius 10 * (max_i ||b_i|| / sigma_min(stacked A) + 1), clipped."""
+    return _box_radius(data.stacked(), max(float(np.linalg.norm(b)) for b in labels.targets))
 
 
 def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSolution:
@@ -165,7 +148,9 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     beta_i are R_i's scaled design and target columns. Each outer step
     centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
     box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
-    BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11).
+    BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11). A
+    ``delta`` of None is set from the R stack, whose singular values are the
+    stacked design's.
 
     After each centring a dual point certifies a lower bound on the optimum
     over all x. With w_i = 1/(t^2 - ||r_i||^2), z_i = w_i r_i is moved to the
@@ -189,7 +174,10 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     M = R[:, :, :d] / col  # unit-norm design columns
     P = pseudoinverse(M.reshape(-1, d))
     seed = P @ R[:, :, d].reshape(-1) / col
-    fit = 1e-12 * max(float(np.linalg.norm(R[:, :, d], axis=1).max()), 1.0)
+    bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
+    if delta is None:  # the R stack has the stacked design's singular values
+        delta = _box_radius(R[:, :, :d].reshape(-1, d), bmax)
+    fit = 1e-12 * max(bmax, 1.0)
 
     def worst(x):
         return float(np.linalg.norm(R[:, :, :d] @ x - R[:, :, d], axis=1).max())
@@ -266,6 +254,179 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     return replace(sol, gap=max(sol.max_cost - lower * scale, 0.0))
 
 
+def _max_step(a: np.ndarray, da: np.ndarray) -> float:
+    """Largest alpha in [0, 1] with a + alpha da >= 0, for a > 0."""
+    ratio = np.divide(a, -da, out=np.full_like(a, np.inf), where=da < 0.0)
+    return min(1.0, float(ratio.min()))
+
+
+def _minmax_l1_ipm(data, labels, eps, max_iters, delta, x0) -> RegressionSolution:
+    """min t s.t. ||A_i x - b_i||_1 <= t, |x_k| <= delta, by a primal-dual interior-point method.
+
+    Costs are divided by ``scale``, the start point's worst-group cost (the
+    stacked least-squares seed's unless ``x0`` is given): beta = b / scale
+    and lim = delta / scale, where a ``delta`` of None is set by
+    ``default_box_radius``. The unknowns are xi, with x = scale T xi: T =
+    [V^T / sigma, N] comes from the SVD A = U diag(sigma) V and an
+    orthonormal basis N of A's null space. Then A x / scale = M xi with
+    M = [U 0]. Its orthonormal columns keep the Newton systems as well
+    conditioned as the iterates allow, and the null-space coordinates meet
+    only the box.
+
+    The problem is the linear program min t over v = (xi, u, t) s.t.
+    G v + s = h, s >= 0. Its slack blocks are u - (M xi - beta) and
+    u + (M xi - beta) (one per row), t - sum_{G_i} u_j (one per group) and
+    lim - T xi and lim + T xi; z >= 0 are their multipliers. The start is
+    primal feasible, and its multipliers meet every dual equation but the
+    one for xi. Each iteration takes Mehrotra's predictor-corrector step
+    (*On the Implementation of a Primal-Dual Interior Point Method*, 1992):
+    an affine direction, then one aimed at sigma mu with
+    sigma = (mu_aff / mu)^3 plus the affine direction's second-order term.
+    The primal and the dual step each go TO_BOUNDARY of the way to the
+    boundary.
+
+    Both directions solve G^T D G dv = r with D = z / s. There the residual
+    bounds u couple only through a diagonal plus one rank-one term per group,
+    so Sherman-Morrison eliminates them (Portnoy & Koenker, *The Gaussian
+    Hare and the Laplacian Tortoise*, 1997). That leaves the (d+1)x(d+1) SPD
+    matrix K = sum_j omega_j [m_j; 0][m_j; 0]^T + [T^T diag(D_box) T, 0; 0, 0]
+    + sum_i gamma_i [g_i; 1][g_i; 1]^T, with m_j the rows of M,
+    e = D_1 + D_2, omega = 4 D_1 D_2 / e, g_i = sum_{G_i} ((D_2 - D_1) / e)_j m_j
+    and gamma_i = D_3i / (1 + D_3i sum_{G_i} 1 / e_j). An iteration therefore
+    costs one weighted Gram matrix, O(n d^2).
+
+    Every iteration certifies a lower bound on the optimum over all x. The
+    multiplier difference y = z_2 - z_1, moved to the nearest point with
+    U^T y = 0 and so A^T y = 0, gives for every x:
+    max_i ||A_i x - b_i||_1 sum_i max_{G_i} |y_j| >= sum_j |y_j (A x - b)_j|
+    >= <y, b - A x> = <y, b>. The rounding left in A^T y is charged against
+    a ball that holds a minimiser. One lies in A's row space, where
+    ||x|| <= ||A x|| / sigma_min, and there ||A x|| <= ||A x - b||_1 + ||b||
+    <= ell OPT + ||b|| <= ell max_i ||b_i||_1 + ||b||. (The box would not
+    do: when it cuts off every minimiser, y can be all rounding.)
+
+    The run stops once the cost is within ``eps`` of the best bound so far,
+    once s^T z falls below GAP_FLOOR times t, or after ``max_iters``
+    iterations. Iterates need not descend, so it returns the best one, which
+    is never worse than the start.
+    """
+    d, ell = data.d, data.ell
+    b = labels.stacked()
+    n = b.size
+    rows = [A.shape[0] for A in data.groups]
+    starts, group = np.cumsum([0] + rows[:-1]), np.repeat(np.arange(ell), rows)
+    blocks = [slice(a, a + k) for a, k in zip(starts, rows)]
+
+    def per_group(v):
+        return np.add.reduceat(v, starts, axis=-1)
+
+    def worst(x):
+        return max(float(np.abs(A @ x - t).sum()) for A, t in zip(data.groups, labels.targets))
+
+    if delta is None:
+        delta = default_box_radius(data, labels)
+    sv = svd(data.stacked())  # A = U diag(sigma) V up to RANK_RTOL
+    null = np.linalg.qr(sv.V.T, mode="complete")[0][:, sv.rank :]  # orthonormal, A null = 0
+    T = np.column_stack([sv.V.T / sv.sigma, null])
+    M = sv.U if sv.rank == d else np.column_stack([sv.U, np.zeros((n, d - sv.rank))])  # A T = M
+    MT = M.T
+    fit = 1e-12 * max(float(per_group(np.abs(b)).max()), 1.0)
+
+    seed = T @ (MT @ b)  # the stacked least-squares fit, pinv(A) b
+    start = seed if x0 is None or worst(seed) <= fit else x0
+    start = np.clip(start, -INTERIOR * delta, INTERIOR * delta)
+    scale = worst(start)
+    if scale <= fit:  # an exact fit, with no cost to scale by
+        sol = _solution(data, labels, start, 0, "interior-point", "l1")
+        return replace(sol, gap=sol.max_cost)  # the trivial bound OPT >= 0
+
+    beta, lim = b / scale, np.full(d, delta / scale)
+    # the radius of a ball about 0 that holds a minimiser over all x (see the docstring)
+    reach = ell * float(per_group(np.abs(beta)).max()) + float(np.linalg.norm(beta))
+    reach = reach / float(sv.sigma[-1]) if sv.rank else 0.0
+    h = np.concatenate([beta, -beta, np.zeros(ell), lim, lim])
+    c = np.zeros(d + n + 1)
+    c[-1] = 1.0
+    cut = np.cumsum([n, n, ell, d])  # where each block of s and z ends
+
+    def G(v):
+        xi, u = v[:d], v[d:-1]
+        r, x = M @ xi, T @ xi
+        return np.concatenate([r - u, -r - u, per_group(u) - v[-1], x, -x])
+
+    def GT(z):
+        z1, z2, z3, zp, zm = np.split(z, cut)
+        return np.concatenate([MT @ (z1 - z2) + T.T @ (zp - zm), z3[group] - z1 - z2, [-z3.sum()]])
+
+    # u sits the mean residual above |r|, and t that far above the largest group sum of u. The
+    # multipliers satisfy every dual equation but the one for xi: each group's z_3 is
+    # inversely proportional to its slack, the z_3 sum to 1 and z_1 = z_2 = z_3 / 2; the box's
+    # are the rows' mean s z over their slacks.
+    xi = np.append(sv.sigma * (sv.V @ start), null.T @ start) / scale  # T^-1 start / scale
+    r = np.abs(M @ xi - beta)
+    u = r + r.mean()
+    v = np.concatenate([xi, u, [float(per_group(u).max()) + r.mean()]])
+    s = h - G(v)
+    z3 = 1.0 / s[cut[1] : cut[2]]
+    z3 /= z3.sum()
+    z = np.concatenate([0.5 * z3[group], 0.5 * z3[group], z3, np.zeros(2 * d)])
+    z[cut[2] :] = float(s[: 2 * n] @ z[: 2 * n]) / (2 * n) / s[cut[2] :]
+
+    lower, steps, cost = 0.0, 0, math.inf
+    while True:
+        latest = float(per_group(np.abs(M @ v[:d] - beta)).max())
+        if latest < cost:
+            cost, best = latest, v[:d]
+        y = z[n : 2 * n] - z[:n]
+        y -= M @ (MT @ y)
+        weight = float(np.maximum.reduceat(np.abs(y), starts).sum())
+        if weight > 0.0:
+            residual = sum(A.T @ y[rows_i] for A, rows_i in zip(data.groups, blocks))  # A^T y
+            lower = max(lower, (float(beta @ y) - reach * float(np.linalg.norm(residual))) / weight)
+        if (cost - lower) * scale <= eps or s @ z <= GAP_FLOOR * v[-1] or steps >= max_iters:
+            break
+        rd, rp, D = GT(z) + c, G(v) + s - h, z / s
+        D1, D2, D3, Dp, Dm = np.split(D, cut)
+        e, f = D1 + D2, D2 - D1
+        gamma = D3 / (1.0 + D3 * per_group(1.0 / e))
+        omega, fe = 4.0 * D1 * D2 / e, f / e
+        K, g = np.zeros((d + 1, d + 1)), np.empty((d, ell))
+        for a in range(0, n, GRAM_ROWS):
+            K[:d, :d] += (MT[:, a : a + GRAM_ROWS] * omega[a : a + GRAM_ROWS]) @ M[a : a + GRAM_ROWS]
+        for i, rows_i in enumerate(blocks):
+            g[:, i] = MT[:, rows_i] @ fe[rows_i]
+        K[:d, :d] += (T.T * (Dp + Dm)) @ T + (g * gamma) @ g.T
+        K[:d, d] = K[d, :d] = g @ gamma
+        K[d, d] = gamma.sum()
+        K[np.diag_indices(d + 1)] += REGULARISE * K.diagonal().max()
+
+        def solve_u(ru):
+            """The u block of G^T D G inverted, group by group, by Sherman-Morrison."""
+            q = ru / e
+            return q - (gamma * per_group(q))[group] / e
+
+        def direction(rc):
+            """(dv, ds, dz) with G^T dz = -rd, G dv + ds = -rp and z ds + s dz = rc."""
+            rv = -rd - GT(D * rp + rc / s)
+            wu = solve_u(rv[d:-1])
+            dxt = np.linalg.solve(K, np.append(rv[:d] - MT @ (f * wu), rv[-1] + D3 @ per_group(wu)))
+            du = solve_u(rv[d:-1] - f * (M @ dxt[:d]) + D3[group] * dxt[d])
+            dv = np.concatenate([dxt[:d], du, dxt[d:]])
+            ds = -rp - G(dv)
+            return dv, ds, rc / s - D * ds
+
+        ds, dz = direction(-s * z)[1:]  # the affine step itself is never taken
+        mu = float(s @ z) / s.size
+        mu_aff = float((s + _max_step(s, ds) * ds) @ (z + _max_step(z, dz) * dz)) / s.size
+        dv, ds, dz = direction((mu_aff / mu) ** 3 * mu - s * z - ds * dz)
+        ap, ad = TO_BOUNDARY * _max_step(s, ds), TO_BOUNDARY * _max_step(z, dz)
+        v, s, z = v + ap * dv, s + ap * ds, z + ad * dz
+        steps += 1
+
+    sol = _solution(data, labels, scale * (T @ best), steps, "interior-point", "l1")
+    return replace(sol, gap=max(sol.max_cost - lower * scale, 0.0))
+
+
 def minmax_subgradient(
     data: GroupedMatrix,
     labels: GroupedLabels,
@@ -277,103 +438,39 @@ def minmax_subgradient(
 ) -> RegressionSolution:
     """Minimise the worst-group loss over the box [-box_delta, box_delta]^d.
 
-    L2 is solved exactly: a log-barrier Newton method on the per-group R
-    factors (``_minmax_l2_barrier``) returns method "barrier", counts Newton
-    steps in ``iterations`` and sets ``gap`` to a certified duality gap, so
-    that ``max_cost - gap`` is at most the optimum over all x. It stops once
-    that gap is at most ``eps``, an absolute cost tolerance, at a precision
-    floor near a relative gap of 1e-9, or after ``max_iters`` Newton steps.
-    An exact fit inside the box returns at once with no steps.
+    Both norms are solved exactly and return a certified duality gap in
+    ``gap``, so that ``max_cost - gap`` is at most the optimum over all x:
 
-    L1 runs projected subgradient descent (method "subgradient", gap inf).
-    The main loop takes Polyak-style steps, (g(x) - target) / ||s||^2 along
-    the worst group's subgradient, with target = best value seen minus a gap
-    estimate. Whenever 40 consecutive steps fail to improve, the gap halves
-    and a polish step runs from the incumbent: the shortest vector in the
-    convex hull of the near-active groups' subgradients gives the steepest
-    descent direction for the max, and an exact ternary line search walks it
-    (plain Polyak steps crawl when tied groups have nearly antiparallel
-    gradients, so this polish is what reaches tight tolerances on degenerate
-    valleys). The run stops once the gap estimate falls below eps/8 and
-    returns the best iterate encountered.
+    * L2 runs a log-barrier Newton method on the per-group R factors
+      (``_minmax_l2_barrier``, method "barrier"); ``iterations`` counts
+      Newton steps.
+    * L1 runs Mehrotra's primal-dual interior-point method on the linear
+      program (``_minmax_l1_ipm``, method "interior-point"); ``iterations``
+      counts interior-point iterations.
 
-    Both start from ``x0`` when given (the L2 solver from the stacked seed
-    otherwise, the L1 loop from zero) and keep their iterates inside the box,
-    whose radius comes from ``default_box_radius`` if unset.
+    Each stops once the gap is at most ``eps``, an absolute cost tolerance,
+    at a precision floor near a relative gap of 1e-9, or after ``max_iters``
+    iterations. An exact fit inside the box returns at once with none. Both
+    start from the stacked least-squares seed, or from ``x0`` when given and
+    the seed does not fit exactly, clipped into the box, and keep their
+    iterates strictly inside it. An unset radius comes from the singular
+    values of the stacked design, as in ``default_box_radius``.
     """
     labels.validate_against(data)
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    delta = float(box_delta) if box_delta is not None else default_box_radius(data, labels)
-    if delta <= 0:
-        raise ValueError(f"box radius must be positive, got {delta}")
-
-    x = np.clip(as_vector(x0, "x0"), -delta, delta) if x0 is not None else np.zeros(data.d)
-    if x.shape[0] != data.d:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {data.d}")
-    if norm == "l2":
-        return _minmax_l2_barrier(data, labels, eps, max_iters, delta, None if x0 is None else x)
-
-    def max_cost(at: np.ndarray) -> float:
-        return float(np.max(fair_regression_group_costs(data, labels, at, norm)))
-
-    def line_search(origin: np.ndarray, direction: np.ndarray, f0: float) -> tuple:
-        lo, hi = 0.0, 2.0 * delta
-        for _ in range(80):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            p1 = np.clip(origin + m1 * direction, -delta, delta)
-            p2 = np.clip(origin + m2 * direction, -delta, delta)
-            if max_cost(p1) <= max_cost(p2):
-                hi = m2
-            else:
-                lo = m1
-        point = np.clip(origin + 0.5 * (lo + hi) * direction, -delta, delta)
-        value = max_cost(point)
-        return (point, value) if value < f0 else (origin, f0)
-
-    f_best = max_cost(x)
-    x_best = x.copy()
-    gamma = max(f_best / 2.0, 1e-12)
-    stall = 0
-    steps = 0
-    for steps in range(1, max_iters + 1):
-        costs = fair_regression_group_costs(data, labels, x, norm)
-        f = float(costs.max())
-        if f < f_best - 1e-14:
-            f_best, x_best = f, x.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 40:
-                best_costs = fair_regression_group_costs(data, labels, x_best, norm)
-                active = np.nonzero(best_costs >= f_best - max(1e-10, 0.01 * gamma))[0]
-                v = _min_norm_in_hull(np.array([
-                    _group_subgradient(data.groups[j], labels.targets[j], x_best, norm) for j in active
-                ]))
-                nv = float(np.linalg.norm(v))
-                if nv > 1e-14:
-                    x_best, f_best = line_search(x_best, -v / nv, f_best)
-                x = x_best.copy()
-                gamma /= 2.0
-                stall = 0
-                if gamma < eps / 8.0:
-                    break
-                continue
-        j = int(np.argmax(costs))
-        s = _group_subgradient(data.groups[j], labels.targets[j], x, norm)
-        ns = float(s @ s)
-        if ns <= 1e-30:
-            break  # zero subgradient: x is optimal for the active group
-        target = max(0.0, f_best - gamma)
-        x = np.clip(x - ((f - target) / ns) * s, -delta, delta)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(
-                f"subgradient iterate diverged at step {steps} (f={f:.3e}, gamma={gamma:.3e})"
-            )
-    return _solution(data, labels, x_best, steps, "subgradient", norm)
+    if box_delta is not None and box_delta <= 0:
+        raise ValueError(f"box radius must be positive, got {box_delta}")
+    if x0 is not None:
+        x0 = as_vector(x0, "x0")
+        if x0.shape[0] != data.d:
+            raise ValueError(f"x0 has length {x0.shape[0]}, expected {data.d}")
+    solve = _minmax_l2_barrier if norm == "l2" else _minmax_l1_ipm
+    return solve(data, labels, eps, max_iters, None if box_delta is None else float(box_delta), x0)
 
 
 def _fmt(v: float) -> str:
@@ -482,13 +579,13 @@ def binary_search_fair_regression(
     at threshold L must return an x with cost at most L * (1 + eps/4) or
     None; a returned x that misses its threshold raises
     OracleContractError. The default oracle runs ``minmax_subgradient``,
-    warm-started from the previous accept: for L2 that solve is exact to
-    within L * eps / 20, so the first probe already reaches the optimum and
-    the search only confirms it; for L1 it is the subgradient loop. At most
+    warm-started from the previous accept: in either norm that solve is
+    exact to within L * eps / 20, so the first probe already reaches the
+    optimum and the search only confirms it. At most
     ceil(log_{1+eps}(ell)) + 2 shrink steps are attempted, which suffices to
     walk the ell-approximation seed down to a (1 + eps)-approximation.
     ``gap`` carries the best certificate the default oracle's solves gave
-    (inf with a caller's oracle or for L1).
+    (inf with a caller's oracle).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")

@@ -12,11 +12,12 @@ import numpy as np
 
 
 def grid_minmax_regression(groups, targets, norm="l2", radius=4.0, points=201, levels=6, zoom=8.0):
-    """Refined dense-grid minimum of max_i ||A_i x - b_i|| in 1 or 2 dims.
+    """Refined dense-grid minimum of max_i ||A_i x - b_i|| over [-radius, radius]^d, d in {1, 2}.
 
     Starts from a [-radius, radius]^d grid and zooms around the incumbent
-    ``levels`` times; the returned value is an upper bound on the true
-    optimum that tightens geometrically with each level.
+    ``levels`` times, each window clipped to the starting box; the returned
+    value is an upper bound on the optimum in the box that tightens
+    geometrically with each level.
     """
     d = groups[0].shape[1]
     assert d in (1, 2), "grid oracle supports d in {1, 2}"
@@ -36,15 +37,19 @@ def grid_minmax_regression(groups, targets, norm="l2", radius=4.0, points=201, l
         if vals[i] < best_val:
             best_val, best_x = float(vals[i]), P[:, i].copy()
         span = (hi - lo) / (points - 1) * zoom
-        lo, hi = best_x - span, best_x + span
+        lo, hi = np.maximum(best_x - span, -radius), np.minimum(best_x + span, radius)
     return best_val, best_x
 
 
 def grid_minmax_regression_nd(groups, targets, center, radius, norm="l2", points=41, levels=4, zoom=4.0):
-    """Refined grid oracle around ``center`` for up to 3 dimensions."""
+    """Refined grid oracle over the box center +- radius, for up to 3 dimensions.
+
+    Each refined window is clipped to that box.
+    """
     d = groups[0].shape[1]
-    lo = np.asarray(center, dtype=float) - radius
-    hi = np.asarray(center, dtype=float) + radius
+    low = np.asarray(center, dtype=float) - radius
+    high = np.asarray(center, dtype=float) + radius
+    lo, hi = low, high
     best_val, best_x = np.inf, np.asarray(center, dtype=float)
     for _ in range(levels):
         axes = [np.linspace(lo[j], hi[j], points) for j in range(d)]
@@ -59,7 +64,7 @@ def grid_minmax_regression_nd(groups, targets, center, radius, norm="l2", points
         if vals[i] < best_val:
             best_val, best_x = float(vals[i]), P[:, i].copy()
         span = (hi - lo) / (points - 1) * zoom
-        lo, hi = best_x - span, best_x + span
+        lo, hi = np.maximum(best_x - span, low), np.minimum(best_x + span, high)
     return best_val, best_x
 
 

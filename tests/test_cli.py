@@ -48,13 +48,14 @@ def test_css_command(grouped_csv, capsys):
 
 
 def test_regress_command(grouped_csv, capsys):
-    rc = main(["regress", grouped_csv, "--group-col", "grp", "--label-col", "y",
-               "--method", "subgradient", "--norm", "l2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "max cost:" in out
-    values = dict(line.split(": ", 1) for line in out.splitlines() if line.startswith(("max cost", "certified")))
-    assert 0.0 <= float(values["certified lower bound"]) <= float(values["max cost"])
+    for norm in ("l2", "l1"):
+        rc = main(["regress", grouped_csv, "--group-col", "grp", "--label-col", "y",
+                   "--method", "subgradient", "--norm", norm])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "max cost:" in out
+        values = dict(line.split(": ", 1) for line in out.splitlines() if line.startswith(("max cost", "certified")))
+        assert 0.0 <= float(values["certified lower bound"]) <= float(values["max cost"]), norm
 
     rc = main(["regress", grouped_csv, "--group-col", "grp", "--label-col", "y", "--method", "stacked"])
     out = capsys.readouterr().out

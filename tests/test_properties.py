@@ -2,8 +2,8 @@
 
 Row order within a group and the order of the groups do not change what a
 group costs; scaling the data (and targets) by c scales every cost by |c|;
-no factor with k rows beats the rank-k Eckart-Young bound. The min-max L2
-optimum inherits the same invariances. A group seen
+no factor with k rows beats the rank-k Eckart-Young bound. The min-max L1
+and L2 optima inherit the same invariances. A group seen
 only through the R factor of its thin QR costs what the group costs, which
 is the reduction that lets every Frobenius and L2 objective run on d x d
 blocks (Woodruff, *Sketching as a Tool for Numerical Linear Algebra*, 2014).
@@ -18,6 +18,7 @@ from fairsketch.grouped import (
     GroupedMatrix,
     fair_lra_cost,
     fair_lra_group_costs,
+    fair_regression_cost,
     fair_regression_group_costs,
 )
 from fairsketch.lra import eckart_young_lower_bound
@@ -121,30 +122,50 @@ def test_r_factor_reduction(inst):
                                rtol=RTOL, atol=RTOL * scale)
 
 
-def l2_optimum(groups, targets) -> float:
-    """Min-max L2 cost, solved to 1e-8 of the stacked seed's cost."""
+def minmax_optimum(groups, targets, norm) -> float:
+    """Min-max cost in ``norm``, solved to 1e-8 of the stacked seed's cost."""
     data = GroupedMatrix.from_arrays(groups)
     labels = GroupedLabels.from_arrays(targets)
-    seed = stacked_least_squares(data, labels).max_cost
+    seed = fair_regression_cost(data, labels, stacked_least_squares(data, labels).x, norm)
     scale = energy(groups) + energy([t[:, None] for t in targets])
-    return minmax_subgradient(data, labels, eps=max(1e-8 * seed, 1e-12 * scale)).max_cost
+    return minmax_subgradient(data, labels, norm=norm, eps=max(1e-8 * seed, 1e-12 * scale)).max_cost
+
+
+def check_scaling(inst, c, norm):
+    groups, targets, _, _, _ = inst
+    scale = energy(groups) + energy([t[:, None] for t in targets])
+    scaled = minmax_optimum([c * g for g in groups], [c * t for t in targets], norm)
+    np.testing.assert_allclose(scaled, c * minmax_optimum(groups, targets, norm), rtol=1e-6, atol=1e-9 * c * scale)
+
+
+def check_order(inst, data, norm):
+    groups, targets, _, _, rng = inst
+    scale = energy(groups) + energy([t[:, None] for t in targets])
+    rows = [rng.permutation(g.shape[0]) for g in groups]
+    order = data.draw(st.permutations(range(len(groups))))
+    shuffled = minmax_optimum([groups[i][rows[i]] for i in order], [targets[i][rows[i]] for i in order], norm)
+    np.testing.assert_allclose(shuffled, minmax_optimum(groups, targets, norm), rtol=1e-6, atol=1e-9 * scale)
 
 
 @SETTINGS
 @given(instances(), st.floats(1e-3, 1e3))
 def test_l2_optimum_scales_with_the_data(inst, c):
-    groups, targets, _, _, _ = inst
-    scale = energy(groups) + energy([t[:, None] for t in targets])
-    scaled = l2_optimum([c * g for g in groups], [c * t for t in targets])
-    np.testing.assert_allclose(scaled, c * l2_optimum(groups, targets), rtol=1e-6, atol=1e-9 * c * scale)
+    check_scaling(inst, c, "l2")
 
 
 @SETTINGS
 @given(instances(), st.data())
 def test_l2_optimum_ignores_row_and_group_order(inst, data):
-    groups, targets, _, _, rng = inst
-    scale = energy(groups) + energy([t[:, None] for t in targets])
-    rows = [rng.permutation(g.shape[0]) for g in groups]
-    order = data.draw(st.permutations(range(len(groups))))
-    shuffled = l2_optimum([groups[i][rows[i]] for i in order], [targets[i][rows[i]] for i in order])
-    np.testing.assert_allclose(shuffled, l2_optimum(groups, targets), rtol=1e-6, atol=1e-9 * scale)
+    check_order(inst, data, "l2")
+
+
+@SETTINGS
+@given(instances(), st.floats(1e-3, 1e3))
+def test_l1_optimum_scales_with_the_data(inst, c):
+    check_scaling(inst, c, "l1")
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_l1_optimum_ignores_row_and_group_order(inst, data):
+    check_order(inst, data, "l1")

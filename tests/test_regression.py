@@ -13,7 +13,7 @@ from fairsketch.regression import (
     minmax_subgradient,
     stacked_least_squares,
 )
-from oracles import grid_minmax_regression, random_grouped
+from oracles import grid_minmax_regression, grid_minmax_regression_nd, random_grouped
 
 
 def make(groups, targets):
@@ -177,19 +177,154 @@ class TestBarrier:
         assert warm.max_cost == pytest.approx(cold.max_cost, abs=1e-8)
         assert warm.iterations != cold.iterations
 
-    @pytest.mark.parametrize("seed, kwargs, x, iterations", [
-        (0, {"box_delta": 4.0, "eps": 1e-6}, [-0.30702920297324027, -0.09152469645001281], 923),
-        (1, {}, [-0.023503456174154017, -0.31716925321367123, -0.46726863752689896], 844),
+
+def l1_lp_optimum(groups, targets) -> float:
+    """HiGHS's optimum of min t s.t. -u <= A x - b <= u, sum_{G_i} u_j <= t, over (x, u, t)."""
+    from scipy.optimize import linprog
+
+    A, b = np.vstack(groups), np.concatenate(targets)
+    n, d, ell = A.shape[0], A.shape[1], len(groups)
+    member = np.zeros((ell, n))
+    member[np.repeat(np.arange(ell), [g.shape[0] for g in groups]), np.arange(n)] = 1.0
+    A_ub = np.block([
+        [A, -np.eye(n), np.zeros((n, 1))],
+        [-A, -np.eye(n), np.zeros((n, 1))],
+        [np.zeros((ell, d)), member, -np.ones((ell, 1))],
     ])
-    def test_l1_keeps_the_subgradient_loop(self, seed, kwargs, x, iterations):
-        # outputs of the L1 subgradient loop before the L2 solver was added, pinned bit for bit
+    c = np.zeros(d + n + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.concatenate([b, -b, np.zeros(ell)]),
+                  bounds=[(None, None)] * d + [(0, None)] * n + [(None, None)], method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+class TestInteriorPoint:
+    """The exact L1 solver behind ``minmax_subgradient(norm="l1")``."""
+
+    def test_certified_gap_brackets_grid_optimum(self):
+        rng = np.random.default_rng(23)
+        for i in range(20):
+            groups, targets = random_grouped(rng, int(rng.integers(2, 4)), 2)
+            data, labels = make(groups, targets)
+            sol = minmax_subgradient(data, labels, norm="l1", eps=1e-6, box_delta=4.0)
+            opt, _ = grid_minmax_regression(groups, targets, norm="l1", radius=4.0, points=301, levels=10, zoom=20)
+            assert sol.method == "interior-point" and sol.norm == "l1"
+            assert sol.max_cost - sol.gap <= opt <= sol.max_cost + 1e-6, f"instance {i}"
+            assert np.all(np.abs(sol.x) < 4.0), f"instance {i}"
+
+    def test_matches_highs(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(31)
+        for d in (3, 3, 4, 5, 5):
+            groups, targets = random_grouped(rng, int(rng.integers(2, 5)), d, max_rows=12)
+            data, labels = make(groups, targets)
+            sol = minmax_subgradient(data, labels, norm="l1", eps=1e-9)
+            opt = l1_lp_optimum(groups, targets)
+            assert sol.max_cost == pytest.approx(opt, rel=1e-7), f"d = {d}"
+            assert sol.max_cost - sol.gap <= opt * (1.0 + 1e-9), f"d = {d}"
+
+    def test_gap_is_at_most_eps(self):
+        rng = np.random.default_rng(12)
+        groups = [s * rng.standard_normal((n, 5)) for n, s in ((40, 1.0), (25, 3.0), (60, 0.5))]
+        targets = [g @ rng.standard_normal(5) + rng.standard_normal(g.shape[0]) for g in groups]
+        data, labels = make(groups, targets)
+        for eps in (1e-2, 1e-4, 1e-6):
+            sol = minmax_subgradient(data, labels, norm="l1", eps=eps)
+            assert 0.0 <= sol.gap <= eps
+            assert sol.max_cost == pytest.approx(fair_regression_cost(data, labels, sol.x, "l1"), abs=1e-12)
+        # a tolerance below working precision ends at the floor, not at the iteration cap or in NaN
+        sol = minmax_subgradient(data, labels, norm="l1", eps=1e-14)
+        assert sol.iterations < 100
+        assert np.all(np.isfinite(sol.x))
+        assert sol.gap <= 1e-7 * sol.max_cost
+
+    def test_exact_fit_returns_without_iterations(self):
+        data, labels = make([np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]])], [np.array([0.5]), np.array([2.0])])
+        sol = minmax_subgradient(data, labels, norm="l1", eps=1e-6, box_delta=4.0)
+        assert sol.max_cost <= 1e-9
+        assert sol.gap <= 1e-9
+        assert sol.iterations == 0
+
+    def test_iterates_stay_inside_the_box(self):
+        # the optimum x = 11 lies outside the box; the best point in it sits at the edge
+        data, labels = make([np.array([[1.0]]), np.array([[1.0]])], [np.array([10.0]), np.array([12.0])])
+        sol = minmax_subgradient(data, labels, norm="l1", eps=1e-6, box_delta=2.0)
+        assert abs(sol.x[0]) < 2.0
+        assert sol.max_cost == pytest.approx(10.0, abs=1e-6)
+        # the certificate bounds the optimum over all x, here 1, and reaches it up to rounding
+        assert 1.0 - 1e-6 <= sol.max_cost - sol.gap <= 1.0 + 1e-12
+
+    def test_x0_outside_the_box_is_clipped_into_it(self):
+        data, labels = SYMMETRIC_1D
+        cold = minmax_subgradient(data, labels, norm="l1", eps=1e-8, box_delta=2.0)
+        warm = minmax_subgradient(data, labels, norm="l1", eps=1e-8, box_delta=2.0, x0=[5.0])
+        assert abs(warm.x[0]) < 2.0
+        assert warm.max_cost == pytest.approx(cold.max_cost, abs=1e-8)
+        assert warm.iterations != cold.iterations
+
+    def test_never_worse_than_the_start(self):
+        # eps above the whole cost ends the run after one iteration, which here leads uphill
+        rng = np.random.default_rng(0)
+        groups = [rng.standard_normal((40, 3)) for _ in range(2)]
+        targets = [1e-3 * (g @ rng.standard_normal(3) + rng.standard_normal(40)) for g in groups]
+        groups = [1e-3 * g for g in groups]
+        data, labels = make(groups, targets)
+        seed = fair_regression_cost(data, labels, stacked_least_squares(data, labels).x, "l1")
+        sol = minmax_subgradient(data, labels, norm="l1", eps=0.05)
+        assert sol.max_cost <= seed
+        assert sol.max_cost - sol.gap <= minmax_subgradient(data, labels, norm="l1", eps=1e-12).max_cost
+
+    def test_duplicated_column_leaves_the_optimum(self):
+        # a rank-deficient design: the copy adds a direction that only the box limits
+        rng = np.random.default_rng(43)
+        groups = [rng.standard_normal((n, 3)) for n in (7, 5, 9)]
+        targets = [rng.standard_normal(g.shape[0]) for g in groups]
+        data, labels = make(groups, targets)
+        full = minmax_subgradient(data, labels, norm="l1", eps=1e-9)
+        data, labels = make([np.column_stack([g, g[:, 1]]) for g in groups], targets)
+        sol = minmax_subgradient(data, labels, norm="l1", eps=1e-9)
+        assert sol.max_cost == pytest.approx(full.max_cost, abs=1e-8)
+        assert sol.max_cost - sol.gap <= full.max_cost + 1e-12
+
+    @pytest.mark.parametrize("seed", [290, 359, 591, 616, 935])
+    def test_degenerate_integer_designs(self, seed):
+        # rounded designs with zero rows, whose Newton matrix loses its last pivot late in a run
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(d + 1, 15))
+        A = np.round(rng.standard_normal((n, d)) * rng.choice([0.3, 1.0], (n, 1)))
+        b = rng.standard_normal(n)
+        sol = minmax_subgradient(*make([A], [b]), norm="l1", eps=1e-9)
+        assert 0.0 <= sol.gap <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_certified_on_the_former_subgradient_instances(self, seed):
+        # the two instances that pinned the subgradient loop this solver replaced, bit for bit
         rng = np.random.default_rng(61)
         instances = [random_grouped(rng, 3, 2), random_grouped(rng, 2, 3, max_rows=6)]
-        data, labels = make(*instances[seed])
-        sol = minmax_subgradient(data, labels, norm="l1", **kwargs)
-        assert sol.method == "subgradient" and sol.gap == math.inf
-        assert sol.x.tolist() == x
-        assert sol.iterations == iterations
+        groups, targets = instances[seed]
+        data, labels = make(groups, targets)
+        if seed == 0:
+            sol = minmax_subgradient(data, labels, norm="l1", box_delta=4.0, eps=1e-6)
+            opt, _ = grid_minmax_regression(groups, targets, norm="l1", radius=4.0, points=301, levels=10, zoom=20)
+        else:
+            sol = minmax_subgradient(data, labels, norm="l1")
+            opt, _ = grid_minmax_regression_nd(groups, targets, center=sol.x, radius=1.0, norm="l1", levels=12)
+        assert sol.method == "interior-point" and math.isfinite(sol.gap)
+        assert sol.max_cost - sol.gap <= opt <= sol.max_cost + 1e-5
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_certificate_holds_when_the_box_cuts_off_an_exact_fit(norm):
+    # four rows in R^4 fit exactly, so the optimum over all x is 0, but not inside a box of 0.5.
+    # The groups' scales differ by 1e3, which leaves the projected multipliers nearly all rounding.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        groups = [rng.standard_normal((3, 4)), 1e3 * rng.standard_normal((1, 4))]
+        targets = [rng.standard_normal(3), 1e3 * rng.standard_normal(1)]
+        sol = minmax_subgradient(*make(groups, targets), norm=norm, eps=1e-9, box_delta=0.5)
+        assert sol.max_cost - sol.gap <= 1e-9 * sol.max_cost, f"seed {seed}"
 
 
 class TestFeasibilityExports:
@@ -352,7 +487,9 @@ class TestBinarySearch:
         assert sol.max_cost <= (1 + eps) * 1.0 + 1e-3
         assert sol.iterations <= math.ceil(math.log(2) / math.log1p(eps)) + 2
         assert sol.max_cost - sol.gap <= 1.0  # the default oracle's certificate; the optimum is 1
-        assert binary_search_fair_regression(data, labels, eps=eps, norm="l1").gap == math.inf
+        l1 = binary_search_fair_regression(data, labels, eps=eps, norm="l1")
+        assert l1.max_cost <= (1 + eps) * 1.0 + 1e-3
+        assert 0.0 <= l1.max_cost - l1.gap <= 1.0 + 1e-12  # the L1 optimum is 1 too, up to rounding
 
     def test_levels_shrink_geometrically(self):
         rng = np.random.default_rng(9)
