@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ingest_flags(p_reg)
     p_reg.add_argument("--method", choices=["stacked", "subgradient", "binary-search"], default="subgradient")
     p_reg.add_argument("--norm", choices=["l1", "l2"], default="l2")
-    p_reg.add_argument("--eps", type=float, default=0.05)
+    p_reg.add_argument("--eps", type=float, default=0.05,
+                       help="subgradient: absolute tolerance on the worst-group cost gap; "
+                            "binary-search: relative step, L shrinks by (1 + eps)")
     p_reg.add_argument("--export", choices=["l1", "l2"], help="emit a feasibility model instead of solving")
     p_reg.add_argument("--threshold", type=float, default=1.0, help="threshold L for --export")
     p_reg.add_argument("--out", help="output file for --export")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grouped import GroupedMatrix, fair_css_cost
 from .linalg import pseudoinverse
-from .lra import BicriteriaConfig, bicriteria_fair_lra
+from .lra import BicriteriaConfig, bicriteria_fair_lra, spawn_seeds
 from .sampling import _keep_probabilities, leverage_scores
 
 COLUMN_DRAWS = 8  # column draws before the selector gives up on an empty sample
@@ -67,7 +67,8 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
 
     col_scores = leverage_scores(v_tilde.T)
     base_probs = _keep_probabilities(col_scores.scores)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    # child number cfg.repeats of the seed: the pipeline's repeats use the children before it
+    rng = np.random.default_rng(spawn_seeds(cfg.seed, cfg.repeats + 1)[-1])
     idx = np.zeros(0, dtype=int)
     for attempt in range(COLUMN_DRAWS):
         probs = np.minimum(1.0, base_probs * 2.0 ** attempt)
@@ -84,7 +85,7 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
     if refit:
         factors = tuple(pseudoinverse(g[:, idx]) @ g for g in data.groups)
     else:
-        projector_rows = (pseudoinverse(v_tilde) @ v_tilde)[idx, :]
+        projector_rows = v_tilde[:, idx].T @ v_tilde  # rows idx of V^T V, as V has orthonormal rows
         factors = tuple(projector_rows.copy() for _ in range(data.ell))
     cost = fair_css_cost(data, idx, factors)
     return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=cost)

@@ -51,6 +51,8 @@ class IngestSpec:
         feats = tuple(self.feature_cols) if self.feature_cols else None
         if feats and self.group_col in feats:
             raise ValueError(f"group column {self.group_col!r} cannot be a feature")
+        if self.label_col is not None and self.label_col in (self.group_col, *(feats or ())):
+            raise ValueError(f"label column {self.label_col!r} cannot be a feature or the group column")
         if self.subsample is not None and self.subsample < 1:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
         object.__setattr__(self, "feature_cols", feats)

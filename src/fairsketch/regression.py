@@ -122,9 +122,8 @@ def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, n
     return float(vals[j]), A.T @ (r / vals[j]) if vals[j] > 0.0 else np.zeros(data.d)
 
 
-def _box_radius(design: np.ndarray, bmax: float) -> float:
-    """10 * (bmax / sigma_min(design) + 1), clipped; sigma_min is the smallest non-negligible singular value."""
-    s = np.linalg.svd(design, compute_uv=False)
+def _box_radius(s: np.ndarray, bmax: float) -> float:
+    """10 * (bmax / sigma_min + 1), clipped; sigma_min is the least non-negligible of the descending s."""
     positive = s[s > 1e-12 * (s[0] if s.size else 1.0)]
     sigma_min = float(positive[-1]) if positive.size else 0.0
     radius = 10.0 * (bmax / sigma_min + 1.0) if sigma_min > 0.0 else DELTA_MAX
@@ -133,7 +132,8 @@ def _box_radius(design: np.ndarray, bmax: float) -> float:
 
 def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
     """Box radius 10 * (max_i ||b_i|| / sigma_min(stacked A) + 1), clipped."""
-    return _box_radius(data.stacked(), max(float(np.linalg.norm(b)) for b in labels.targets))
+    s = np.linalg.svd(data.stacked(), compute_uv=False)
+    return _box_radius(s, max(float(np.linalg.norm(b)) for b in labels.targets))
 
 
 def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSolution:
@@ -176,7 +176,7 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     seed = P @ R[:, :, d].reshape(-1) / col
     bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
     if delta is None:  # the R stack has the stacked design's singular values
-        delta = _box_radius(R[:, :, :d].reshape(-1, d), bmax)
+        delta = _box_radius(np.linalg.svd(R[:, :, :d].reshape(-1, d), compute_uv=False), bmax)
     fit = 1e-12 * max(bmax, 1.0)
 
     def worst(x):
@@ -265,8 +265,10 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta, x0) -> RegressionSolutio
 
     Costs are divided by ``scale``, the start point's worst-group cost (the
     stacked least-squares seed's unless ``x0`` is given): beta = b / scale
-    and lim = delta / scale, where a ``delta`` of None is set by
-    ``default_box_radius``. The unknowns are xi, with x = scale T xi: T =
+    and lim = delta / scale. A ``delta`` of None is set as in
+    ``default_box_radius``, from the singular values sigma of the one SVD
+    below; since sigma is cut at RANK_RTOL, the radius follows the rank the
+    solver itself uses. The unknowns are xi, with x = scale T xi: T =
     [V^T / sigma, N] comes from the SVD A = U diag(sigma) V and an
     orthonormal basis N of A's null space. Then A x / scale = M xi with
     M = [U 0]. Its orthonormal columns keep the Newton systems as well
@@ -323,9 +325,9 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta, x0) -> RegressionSolutio
     def worst(x):
         return max(float(np.abs(A @ x - t).sum()) for A, t in zip(data.groups, labels.targets))
 
-    if delta is None:
-        delta = default_box_radius(data, labels)
     sv = svd(data.stacked())  # A = U diag(sigma) V up to RANK_RTOL
+    if delta is None:
+        delta = _box_radius(sv.sigma, max(float(np.linalg.norm(y)) for y in labels.targets))
     null = np.linalg.qr(sv.V.T, mode="complete")[0][:, sv.rank :]  # orthonormal, A null = 0
     T = np.column_stack([sv.V.T / sv.sigma, null])
     M = sv.U if sv.rank == d else np.column_stack([sv.U, np.zeros((n, d - sv.rank))])  # A T = M
@@ -448,7 +450,8 @@ def minmax_subgradient(
       program (``_minmax_l1_ipm``, method "interior-point"); ``iterations``
       counts interior-point iterations.
 
-    Each stops once the gap is at most ``eps``, an absolute cost tolerance,
+    Each stops once the gap is at most ``eps``, an absolute cost tolerance
+    (``binary_search_fair_regression`` reads its ``eps`` as a relative step),
     at a precision floor near a relative gap of 1e-9, or after ``max_iters``
     iterations. An exact fit inside the box returns at once with none. Both
     start from the stacked least-squares seed, or from ``x0`` when given and

@@ -4,7 +4,8 @@ Leverage scores measure each row's importance for the column space; sampling
 rows independently with probability min(1, score * log n) and rescaling kept
 rows by 1/sqrt(prob) preserves squared Euclidean norms in expectation. Lewis
 weights generalize leverage scores to Lp and drive the row sampler used to
-compress Lp regression problems.
+compress Lp regression problems. The Lewis iteration takes no SVD: each round,
+and its residual, is one ridge-regularised Gram solve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class LewisWeights:
 
     ``residual`` is the maximum deviation |w_i - tau_i| between the weights
     and the leverage scores of the reweighted matrix W^(1/2 - 1/p) A, which
-    is zero at an exact fixed point.
+    is zero at an exact fixed point. The scores come from one more round of
+    the iteration's own ridged quadratic forms, not from an SVD.
     """
 
     weights: np.ndarray
@@ -116,22 +118,20 @@ def leverage_sampling_matrix(scores: LeverageScores, seed: int) -> SamplingMatri
 def lewis_weights(M, p: float, iters: int = 10) -> LewisWeights:
     """Approximate Lp Lewis weights by damped fixed-point iteration.
 
-    Starting from the uniform d/n initialization, each round evaluates
+    Starting from the uniform d/n initialization, each round evaluates the
+    quadratic forms q(w)_i = a_i^T (A^T W^(1 - 2/p) A)^(-1) a_i, sets
+    phi(w) = q(w)^(p/2), and steps w <- w^(1 - theta) * phi(w)^theta with
+    theta = min(1, 2/p). For p <= 2 this is the plain update (and for p = 2
+    one round returns the leverage scores exactly, since phi ignores W
+    there); for p > 2 the plain map is only contractive up to rate
+    |p/2 - 1|, and the geometric damping restores convergence. At the fixed
+    point each weight equals the leverage score w_i^(1 - 2/p) q(w)_i of the
+    corresponding row of W^(1/2 - 1/p) A; one more round of q at the returned
+    weights gives the maximum deviation from that identity as ``residual``.
 
-        phi(w)_i = ( a_i^T (A^T W^(1 - 2/p) A)^(-1) a_i )^(p/2)
-
-    and steps w <- w^(1 - theta) * phi(w)^theta with theta = min(1, 2/p).
-    For p <= 2 this is the plain update (and for p = 2 one round returns the
-    leverage scores exactly, since phi ignores W there); for p > 2 the plain
-    map is only contractive up to rate |p/2 - 1|, and the geometric damping
-    restores convergence. At the fixed point each weight equals the leverage
-    score of the corresponding row of W^(1/2 - 1/p) A; the maximum deviation
-    from that identity is reported as ``residual``.
-
-    The Gram matrix is ridge-regularized by 1e-12 * trace/d when singular or
-    severely ill-conditioned, so rank-deficient inputs degrade gracefully
-    instead of failing; a Gram matrix that stays singular after
-    regularization raises NumericError.
+    Every round adds the ridge 1e-12 * trace/d to the Gram matrix, so
+    rank-deficient inputs degrade gracefully instead of failing; a Gram
+    matrix that stays singular after regularization raises NumericError.
     """
     M = as_matrix(M)
     if p < 1:
@@ -143,17 +143,15 @@ def lewis_weights(M, p: float, iters: int = 10) -> LewisWeights:
     expo = 1.0 - 2.0 / p
     theta = min(1.0, 2.0 / p)
     for _ in range(iters):
-        # zero rows get zero weight; keep them out of negative-power territory
-        scaled = _masked_power(w, expo)
-        gram = M.T @ (M * scaled[:, None])
-        q = _row_quadratic_forms(M, gram)
-        phi = np.maximum(q, 0.0) ** (p / 2.0)
+        phi = np.maximum(_row_quadratic_forms(M, w, expo), 0.0) ** (p / 2.0)
         w = phi if theta == 1.0 else _masked_power(w, 1.0 - theta) * phi ** theta
-    residual = _fixed_point_residual(M, w, p)
+    tau = _masked_power(w, expo) * _row_quadratic_forms(M, w, expo)
+    residual = float(np.max(np.abs(w - tau))) if w.size else 0.0
     return LewisWeights(weights=w, p=float(p), residual=residual)
 
 
 def _masked_power(w: np.ndarray, expo: float) -> np.ndarray:
+    # zero weight occurs only for zero rows; keep them out of negative-power territory
     if expo == 0.0:
         return np.ones_like(w)
     out = np.zeros_like(w)
@@ -162,14 +160,11 @@ def _masked_power(w: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
-def _row_quadratic_forms(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    d = gram.shape[0]
-    try:
-        cond = np.linalg.cond(gram)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        gram = gram + (1e-12 * np.trace(gram) / d) * np.eye(d)
+def _row_quadratic_forms(M: np.ndarray, w: np.ndarray, expo: float) -> np.ndarray:
+    """q_i = m_i^T (M^T W^expo M + ridge)^(-1) m_i, with the ridge 1e-12 * trace/d."""
+    d = M.shape[1]
+    gram = M.T @ (M * _masked_power(w, expo)[:, None])
+    gram = gram + (1e-12 * np.trace(gram) / d) * np.eye(d)
     try:
         X = np.linalg.solve(gram, M.T)
     except np.linalg.LinAlgError as exc:
@@ -178,13 +173,6 @@ def _row_quadratic_forms(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(q)):
         raise NumericError("non-finite quadratic forms in Lewis weight iteration")
     return q
-
-
-def _fixed_point_residual(M: np.ndarray, w: np.ndarray, p: float) -> float:
-    # zero weight occurs only for zero rows, whose rescaled row is zero too
-    mult = _masked_power(w, 0.5 - 1.0 / p)
-    tau = leverage_scores(M * mult[:, None]).scores
-    return float(np.max(np.abs(w - tau))) if w.size else 0.0
 
 
 def lewis_sampling_matrix(weights: LewisWeights, s: int, seed: int) -> SamplingMatrix:

@@ -119,6 +119,15 @@ def test_usage_error_exit_code(grouped_csv, capsys):
     assert "usage error" in err
 
 
+def test_label_among_features_is_usage_error(grouped_csv, capsys):
+    # the target as a feature would fit itself exactly
+    rc = main(["regress", grouped_csv, "--group-col", "grp", "--features", "a,y",
+               "--label-col", "y", "--method", "stacked"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "label column 'y'" in err
+
+
 def test_missing_credit_csv_exit_code(capsys):
     rc = main(["experiment", "credit"])
     err = capsys.readouterr().err

@@ -3,7 +3,8 @@ import pytest
 
 from fairsketch.css import bicriteria_fair_css, brute_force_css, css_budget
 from fairsketch.grouped import GroupedMatrix, fair_css_cost
-from fairsketch.lra import BicriteriaConfig
+from fairsketch.linalg import pseudoinverse
+from fairsketch.lra import BicriteriaConfig, bicriteria_fair_lra
 from oracles import exhaustive_css
 
 
@@ -107,6 +108,17 @@ class TestBicriteriaCss:
             # oracle at the drawn budget lower-bounds the randomized pick
             assert sol.cost >= brute_force_css(data, len(sol.indices)).cost - 1e-9
         assert wins >= 0.8 * 50
+
+    def test_factors_are_rows_of_the_factor_projector(self):
+        rng = np.random.default_rng(10)
+        for seed in range(5):
+            data = GroupedMatrix.from_arrays((rng.standard_normal((6, 7)), rng.standard_normal((5, 7))))
+            cfg = BicriteriaConfig(k=3, g_rows=6, h_cols=7, seed=seed)
+            V = bicriteria_fair_lra(data, cfg).v_tilde
+            sol = bicriteria_fair_css(data, cfg)
+            expected = (pseudoinverse(V) @ V)[list(sol.indices)]
+            for M in sol.factors:
+                assert np.allclose(M, expected, rtol=0.0, atol=1e-12)
 
     def test_refit_never_hurts(self):
         rng = np.random.default_rng(8)

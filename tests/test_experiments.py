@@ -95,6 +95,17 @@ class TestIngest:
         with pytest.raises(ValueError):
             IngestSpec(path="x.csv", group_col="g", feature_cols=("g", "f"))
 
+    def test_label_as_feature_or_group_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="label column 'y'"):
+            IngestSpec(path="x.csv", group_col="g", feature_cols=("f", "y"), label_col="y")
+        with pytest.raises(ValueError, match="label column 'g'"):
+            IngestSpec(path="x.csv", group_col="g", label_col="g")
+        # with the features unset, every column but the group and the label is a feature
+        path = write_csv(tmp_path / "lab.csv", ["f", "g", "y"], [[float(i), "ab"[i % 2], 2.0 * i] for i in range(6)])
+        data, labels = ingest_csv(IngestSpec(path=path, group_col="g", label_col="y"))
+        assert data.d == 1
+        assert np.array_equal(np.concatenate(labels.targets), 2.0 * np.concatenate(data.groups)[:, 0])
+
 
 class TestSyntheticSuite:
     def test_golden_baseline_in_records(self):

@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fairsketch import regression
 from fairsketch.grouped import GroupedLabels, GroupedMatrix, fair_regression_cost
 from fairsketch.regression import (
     OracleContractError,
     binary_search_fair_regression,
+    default_box_radius,
     export_l1_feasibility,
     export_l2_feasibility,
     fair_regression_subgradient,
@@ -286,6 +289,39 @@ class TestInteriorPoint:
         sol = minmax_subgradient(data, labels, norm="l1", eps=1e-9)
         assert sol.max_cost == pytest.approx(full.max_cost, abs=1e-8)
         assert sol.max_cost - sol.gap <= full.max_cost + 1e-12
+
+    def test_default_box_stacks_and_factors_once(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        groups = [rng.standard_normal((n, 4)) for n in (30, 20, 25)]
+        targets = [g @ rng.standard_normal(4) + rng.standard_normal(g.shape[0]) for g in groups]
+        data, labels = make(groups, targets)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GroupedMatrix, "stacked", counted("stacked", GroupedMatrix.stacked))
+        monkeypatch.setattr(regression, "svd", counted("svd", regression.svd))
+        monkeypatch.setattr(np.linalg, "svd", counted("np.linalg.svd", np.linalg.svd))
+        minmax_subgradient(data, labels, norm="l1", eps=1e-6)
+        assert calls == {"stacked": 1, "svd": 1, "np.linalg.svd": 1}
+
+    def test_default_box_matches_default_box_radius(self):
+        # on full-rank designs the solver's own singular values give default_box_radius's box
+        rng = np.random.default_rng(72)
+        for i in range(10):
+            d = int(rng.integers(2, 6))
+            groups, targets = random_grouped(rng, int(rng.integers(2, 4)), d, max_rows=3 * d)
+            data, labels = make(groups, targets)
+            if np.linalg.matrix_rank(data.stacked()) < d:
+                continue
+            own = minmax_subgradient(data, labels, norm="l1", eps=1e-6)
+            given = minmax_subgradient(data, labels, norm="l1", eps=1e-6, box_delta=default_box_radius(data, labels))
+            assert own.iterations == given.iterations, f"instance {i}"
+            assert own.max_cost == pytest.approx(given.max_cost, rel=1e-12, abs=0.0), f"instance {i}"
 
     @pytest.mark.parametrize("seed", [290, 359, 591, 616, 935])
     def test_degenerate_integer_designs(self, seed):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,27 @@ class TestLewisWeights:
                 passed += r2 <= r1 + 1e-12
         assert passed >= 0.9 * total
 
+    def test_residual_matches_svd_leverage_scores(self):
+        # the residual comes from the iteration's ridged forms; it must agree with the SVD definition
+        rng = np.random.default_rng(11)
+        for i in range(50):
+            n, d = int(rng.integers(6, 41)), int(rng.integers(2, 9))
+            p = (1.0, 1.5, 3.0, 4.0)[i % 4]
+            M = rng.standard_normal((n, d))
+            lw = lewis_weights(M, p)
+            tau = leverage_scores(M * (lw.weights ** (0.5 - 1.0 / p))[:, None]).scores
+            assert lw.residual == pytest.approx(float(np.max(np.abs(lw.weights - tau))), abs=1e-9), f"input {i}"
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_rank_deficient_square_input(self, p):
+        # the benchmark's shape: a 30 x 30 sketch of rank 23, whose Gram matrix is singular
+        M = random_matrix(np.random.default_rng(12), 30, 30, rank=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lw = lewis_weights(M, p)
+        assert np.all(np.isfinite(lw.weights)) and math.isfinite(lw.residual)
+        assert abs(lw.weights.sum() - 23.0) <= 0.05 * 23.0
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             lewis_weights(np.eye(2), 0.5)
@@ -168,8 +192,6 @@ class TestLewisSampling:
 
 
 def test_lewis_weights_with_zero_rows():
-    import warnings
-
     M = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     for p in (1.0, 2.0, 4.0):
         with warnings.catch_warnings():
