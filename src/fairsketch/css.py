@@ -53,7 +53,8 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
     An empty draw is retried with doubled inclusion probabilities; after
     ``COLUMN_DRAWS`` empty draws it raises RuntimeError. With ``refit`` each
     group's factor is replaced by its own least-squares fit onto the selected
-    columns.
+    columns, pinv(R_i[:, S]) R_i, which equals pinv(A_i[:, S]) A_i because
+    A_i = Q_i R_i with orthonormal Q_i.
     """
     lra_sol = bicriteria_fair_lra(data, cfg)
     v_tilde = lra_sol.v_tilde
@@ -83,7 +84,7 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
         idx = np.sort(idx[top])
 
     if refit:
-        factors = tuple(pseudoinverse(g[:, idx]) @ g for g in data.groups)
+        factors = tuple(pseudoinverse(R[:, idx]) @ R for R in data.r_factors)
     else:
         projector_rows = v_tilde[:, idx].T @ v_tilde  # rows idx of V^T V, as V has orthonormal rows
         factors = tuple(projector_rows.copy() for _ in range(data.ell))
@@ -92,7 +93,7 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
 
 
 def brute_force_css(data: GroupedMatrix, k: int) -> CssSolution:
-    """Exhaustive k-column oracle with optimal per-group factors.
+    """Exhaustive k-column oracle with optimal per-group factors, fitted on R_i.
 
     Ties are broken toward the lexicographically smallest index set. Refuses
     instances with more than ``MAX_SUBSETS`` candidate subsets.
@@ -108,7 +109,7 @@ def brute_force_css(data: GroupedMatrix, k: int) -> CssSolution:
     best_cost = math.inf
     for subset in combinations(range(data.d), k):
         idx = np.array(subset, dtype=int)
-        factors = tuple(pseudoinverse(g[:, idx]) @ g for g in data.groups)
+        factors = tuple(pseudoinverse(R[:, idx]) @ R for R in data.r_factors)
         cost = fair_css_cost(data, idx, factors)
         if cost < best_cost:
             best_cost, best_idx, best_factors = cost, subset, factors

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -49,6 +50,9 @@ class IngestSpec:
 
     def __post_init__(self):
         feats = tuple(self.feature_cols) if self.feature_cols else None
+        for i, name in enumerate(feats or ()):
+            if name in feats[:i]:
+                raise ValueError(f"feature column {name!r} is listed twice")
         if feats and self.group_col in feats:
             raise ValueError(f"group column {self.group_col!r} cannot be a feature")
         if self.label_col is not None and self.label_col in (self.group_col, *(feats or ())):
@@ -152,14 +156,23 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
         rows = [rows[i] for i in chosen]
         lines = [lines[i] for i in chosen]
 
-    def parse_cell(row_idx: int, row: list, name: str) -> float:
-        cell = row[col_of[name]]
+    def parse_columns(names: Sequence[str]) -> np.ndarray:
+        """Columns ``names`` of every row as float64, one numpy conversion per call."""
+        get = operator.itemgetter(*(col_of[name] for name in names))
         try:
-            return float(cell)
+            return np.array(list(map(get, rows)), dtype=np.float64)
         except ValueError:
-            raise DataError(
-                f"{path}: row {lines[row_idx]}, column {name!r}: cannot parse {cell!r} as a real"
-            ) from None
+            # numpy rejects the cells float() rejects; parse per cell to name the first bad one
+            for i, row in enumerate(rows):
+                for name in names:
+                    cell = row[col_of[name]]
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {lines[i]}, column {name!r}: cannot parse {cell!r} as a real"
+                        ) from None
+            raise
 
     def require_finite(values: np.ndarray, names: Sequence[str]) -> None:
         bad = np.argwhere(~np.isfinite(values.reshape(len(rows), -1)))
@@ -168,16 +181,14 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
             cell = rows[i][col_of[names[j]]]
             raise DataError(f"{path}: row {lines[i]}, column {names[j]!r}: {cell!r} is not a finite real")
 
-    features = np.array(
-        [[parse_cell(i, row, name) for name in feature_cols] for i, row in enumerate(rows)]
-    )
+    features = parse_columns(feature_cols).reshape(len(rows), len(feature_cols))
     require_finite(features, feature_cols)
     group_labels = [row[col_of[spec.group_col]] for row in rows]
     data = split_by_group(features, group_labels)
 
     targets = None
     if spec.label_col is not None:
-        y = np.array([parse_cell(i, row, spec.label_col) for i, row in enumerate(rows)])
+        y = parse_columns((spec.label_col,))
         require_finite(y, (spec.label_col,))
         _, buckets = group_indices(group_labels)
         targets = GroupedLabels.from_arrays(tuple(y[buckets[lbl]] for lbl in data.labels))

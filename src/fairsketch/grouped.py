@@ -2,13 +2,18 @@
 
 A grouped matrix is a collection of per-group observation matrices sharing
 one feature dimension. Groups are kept as separate arrays so per-group costs
-and sketches need no row-offset arithmetic; ``stacked`` provides the vertical
-concatenation when a single design matrix is needed.
+need no row-offset arithmetic. The Frobenius objectives (low-rank
+approximation and column selection) see a group only through its Gram
+matrix, so they run on each group's thin-QR factor R_i, computed once per
+grouped matrix: ||A_i - A_i P||_F = ||R_i - R_i P||_F for every P. ``stacked``
+provides the vertical concatenation of the raw rows for regression, whose L1
+objective is not rotation-invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +23,14 @@ from .linalg import as_matrix, as_vector, pseudoinverse
 
 @dataclass(frozen=True)
 class GroupedMatrix:
-    """Per-group observation matrices A_1..A_ell with d shared columns."""
+    """Per-group observation matrices A_1..A_ell with d shared columns.
+
+    ``r_factors`` and ``stacked_r`` are computed on first use and cached on the
+    instance: ``r_factors[i]`` is the R of the thin QR of A_i (min(n_i, d) x d)
+    and ``stacked_r`` the R of the stacked R_i, which is also an R factor of
+    the stacked rows. Each has the Gram matrix of what it stands for, so every
+    Frobenius cost, projection and Gaussian sketch law is the same on it.
+    """
 
     groups: tuple
     labels: tuple
@@ -64,6 +76,14 @@ class GroupedMatrix:
     def stacked(self) -> np.ndarray:
         return np.vstack(self.groups)
 
+    @cached_property
+    def r_factors(self) -> tuple:
+        return tuple(np.linalg.qr(g, mode="r") for g in self.groups)
+
+    @cached_property
+    def stacked_r(self) -> np.ndarray:
+        return np.linalg.qr(np.vstack(self.r_factors), mode="r")
+
 
 @dataclass(frozen=True)
 class GroupedLabels:
@@ -93,15 +113,15 @@ class GroupedLabels:
 
 
 def fair_lra_group_costs(data: GroupedMatrix, V, squared: bool = False) -> np.ndarray:
-    """Per-group residual ||A_i - A_i pinv(V) V||_F (squared if requested)."""
+    """Per-group residual ||A_i - A_i pinv(V) V||_F (squared if requested), on R_i."""
     V = as_matrix(V, "V")
     if V.shape[1] != data.d:
         raise ValueError(f"V has {V.shape[1]} columns, data has {data.d}")
     W = pseudoinverse(V)
     out = np.empty(data.ell)
-    for i, A in enumerate(data.groups):
-        R = A - (A @ W) @ V
-        out[i] = float(np.sum(R * R))
+    for i, R in enumerate(data.r_factors):
+        E = R - (R @ W) @ V
+        out[i] = float(np.sum(E * E))
     return out if squared else np.sqrt(out)
 
 
@@ -113,7 +133,8 @@ def fair_lra_cost(data: GroupedMatrix, V, squared: bool = False) -> float:
 def fair_css_cost(data: GroupedMatrix, indices, factors) -> float:
     """Worst-group residual ||A_i[:, S] M_i - A_i||_F for selected columns S.
 
-    ``factors`` holds one M_i of shape (len(indices), d) per group.
+    ``factors`` holds one M_i of shape (len(indices), d) per group. The
+    residual is evaluated on R_i, which has the same column Gram matrix as A_i.
     """
     idx = np.asarray(list(indices), dtype=int)
     if idx.size == 0:
@@ -124,11 +145,11 @@ def fair_css_cost(data: GroupedMatrix, indices, factors) -> float:
     if len(factors) != data.ell:
         raise ValueError(f"{len(factors)} factors for {data.ell} groups")
     worst = 0.0
-    for A, M in zip(data.groups, factors):
+    for R, M in zip(data.r_factors, factors):
         if M.shape != (idx.size, data.d):
             raise ValueError(f"factor shape {M.shape}, expected {(idx.size, data.d)}")
-        R = A[:, idx] @ M - A
-        worst = max(worst, float(np.sum(R * R)))
+        E = R[:, idx] @ M - R
+        worst = max(worst, float(np.sum(E * E)))
     return float(np.sqrt(worst))
 
 

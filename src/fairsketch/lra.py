@@ -1,14 +1,19 @@
 """Min-max fair low-rank approximation.
 
-Three solvers share this module:
+Every solver here sees the data only through the cached thin-QR factors of
+``GroupedMatrix`` (``r_factors`` per group, ``stacked_r`` for the stack), so
+after one O(n d^2) reduction per grouped matrix a solve costs O(ell d^3),
+independent of the row count n. Three solvers share this module:
 
 * ``svd_baseline`` -- the standard (group-blind) top-k right singular factor
   of the stacked data, the comparison point for everything else.
 * ``bicriteria_fair_lra`` -- the randomized sketch-and-solve pipeline: embed
-  the stacked matrix with scaled Gaussians on both sides, compress rows with
+  the stacked data with scaled Gaussians on both sides, compress rows with
   an Lp Lewis-weight sampler, and read off the right factor from a small
-  pseudoinverse. Polynomial time; the output rank is governed by the row
-  sample count rather than k itself.
+  pseudoinverse. By rotational invariance a Gaussian G times the stacked rows
+  A = Q R has the law of a Gaussian Z with d columns times R, so the sketch
+  draws Z and multiplies ``stacked_r``. Polynomial time; the output rank is
+  governed by the row sample count rather than k itself.
 * ``binary_search_fair_lra`` -- a guess-and-verify driver that geometrically
   shrinks a feasibility threshold, backed by a heuristic feasibility oracle
   (``alternating_feasibility``). The oracle is a smoothed min-max heuristic,
@@ -94,10 +99,14 @@ class FairLraSolution:
 
 
 def svd_baseline(data: GroupedMatrix, k: int) -> np.ndarray:
-    """Group-blind top-k right singular factor of the vertically stacked data."""
+    """Group-blind top-k right singular factor of the vertically stacked data.
+
+    Computed from ``stacked_r``, whose right singular vectors and singular
+    values are those of the stacked rows.
+    """
     if k > data.d:
         raise ValueError(f"k={k} exceeds feature count {data.d}")
-    return best_rank_k(data.stacked(), k)
+    return best_rank_k(data.stacked_r, k)
 
 
 def spawn_seeds(seed: int, count: int) -> list:
@@ -106,7 +115,11 @@ def spawn_seeds(seed: int, count: int) -> list:
 
 
 def _pipeline_once(A: np.ndarray, p: float, cfg: BicriteriaConfig, seed: int) -> tuple[np.ndarray, int, dict]:
-    """One pipeline run on the stacked data: raw factor, sampled rows, phase times."""
+    """One pipeline run on an R factor of the stacked data: raw factor, sampled rows, phase times.
+
+    ``A`` has at most d rows; G*A has the law of the same scaled Gaussian
+    sketch applied to the raw stacked rows.
+    """
     n, d = A.shape
     seeds = spawn_seeds(seed, 4)
 
@@ -137,13 +150,13 @@ def bicriteria_fair_lra_timed(data: GroupedMatrix, cfg: BicriteriaConfig) -> tup
 
     ``time_total`` covers the sketch, the Lewis sampling and the factor
     extraction; ``time_extract`` is the extraction alone. Neither covers the
-    orthonormalisation of the factor or the cost evaluation. With repeats the
-    times accumulate over runs. A k above the feature count is rejected
-    before any sketch runs.
+    R-factor reduction of the data, the orthonormalisation of the factor or
+    the cost evaluation. With repeats the times accumulate over runs. A k
+    above the feature count is rejected before any sketch runs.
     """
     if cfg.k > data.d:
         raise ValueError(f"k={cfg.k} exceeds feature count {data.d}")
-    A = data.stacked()
+    A = data.stacked_r
     p = cfg.exponent(data.ell)
     total = {"time_total": 0.0, "time_extract": 0.0}
     if not np.any(A):
@@ -189,8 +202,8 @@ def alternating_feasibility(
     if alpha < 0:
         return None
     alpha_sq = float(alpha) ** 2
-    covs = [g.T @ g for g in data.groups]
-    totals = np.array([float(np.sum(g * g)) for g in data.groups])
+    covs = [R.T @ R for R in data.r_factors]
+    totals = np.array([float(np.sum(R * R)) for R in data.r_factors])
     scale = float(totals.max())
     beta = 10.0 / max(alpha_sq, 1e-12 * max(scale, 1.0))
 
@@ -213,7 +226,7 @@ def alternating_feasibility(
             return best_V
         w = np.exp(beta * (c - m))
         w /= w.sum()
-        weighted = np.vstack([math.sqrt(wi) * g for wi, g in zip(w, data.groups)])
+        weighted = np.vstack([math.sqrt(wi) * R for wi, R in zip(w, data.r_factors)])
         V_next = best_rank_k(weighted, k)
         if np.allclose(V_next @ V.T @ V @ V_next.T, np.eye(k), atol=1e-12):
             break  # same subspace; the closed-form step has stalled
@@ -303,10 +316,11 @@ def eckart_young_lower_bound(data: GroupedMatrix, k: int) -> float:
     """max_i (group-i tail energy past rank k): a certified fair-cost lower bound.
 
     Any shared rank-k factor serves each group no better than that group's own
-    optimal factor, so no fair solution can cost less.
+    optimal factor, so no fair solution can cost less. R_i has the singular
+    values of A_i.
     """
     worst = 0.0
-    for g in data.groups:
-        s = np.linalg.svd(g, compute_uv=False)
+    for R in data.r_factors:
+        s = np.linalg.svd(R, compute_uv=False)
         worst = max(worst, float(np.sum(s[k:] ** 2)))
     return math.sqrt(worst)

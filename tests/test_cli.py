@@ -128,6 +128,18 @@ def test_label_among_features_is_usage_error(grouped_csv, capsys):
     assert "label column 'y'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lra", "--features", "a,a", "--k", "1"],
+    ["regress", "--features", "a,a,b", "--label-col", "y"],
+], ids=["lra", "regress"])
+def test_repeated_feature_is_usage_error(grouped_csv, capsys, argv):
+    # a copied column makes the design rank-deficient, and lra would report a ratio of rounding noise
+    rc = main([argv[0], grouped_csv, "--group-col", "grp", *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "feature column 'a' is listed twice" in err
+
+
 def test_missing_credit_csv_exit_code(capsys):
     rc = main(["experiment", "credit"])
     err = capsys.readouterr().err

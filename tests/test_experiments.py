@@ -95,6 +95,10 @@ class TestIngest:
         with pytest.raises(ValueError):
             IngestSpec(path="x.csv", group_col="g", feature_cols=("g", "f"))
 
+    def test_repeated_feature_rejected(self):
+        with pytest.raises(ValueError, match="feature column 'a' is listed twice"):
+            IngestSpec(path="x.csv", group_col="g", feature_cols=("a", "b", "a"))
+
     def test_label_as_feature_or_group_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="label column 'y'"):
             IngestSpec(path="x.csv", group_col="g", feature_cols=("f", "y"), label_col="y")

@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fairsketch import lra
+from fairsketch.css import bicriteria_fair_css, brute_force_css
 from fairsketch.experiments import synthetic_pair
 from fairsketch.grouped import GroupedMatrix, fair_lra_cost
 from fairsketch.linalg import norm_entrywise
@@ -88,6 +91,48 @@ class TestBicriteria:
         boosted = BicriteriaConfig(k=2, g_rows=3, h_cols=3, seed=11, repeats=8)
         best = bicriteria_fair_lra(data, boosted)
         assert best.cost <= a.cost + 1e-12
+
+
+class TestRFactorReduction:
+    """Every LRA and CSS path reads a group only through its cached R factor."""
+
+    def test_one_qr_per_group_and_no_stacking(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        data = GroupedMatrix.from_arrays([rng.standard_normal((n, 5)) for n in (40, 3, 25)])
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(GroupedMatrix, "stacked", counted("stacked", GroupedMatrix.stacked))
+        for seed in (1, 2):
+            bicriteria_fair_lra(data, BicriteriaConfig(k=2, seed=seed))
+        svd_baseline(data, 2)
+        eckart_young_lower_bound(data, 2)
+        # one QR per group, plus one for the stacked R factors
+        assert calls == {"qr": data.ell + 1}
+
+        bicriteria_fair_css(data, BicriteriaConfig(k=2, seed=3), refit=True)
+        brute_force_css(data, 2)
+        binary_search_fair_lra(data, 2, 0.5, seed=4)
+        assert calls == {"qr": data.ell + 1}
+
+    def test_sketch_is_as_wide_as_the_features(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        data = GroupedMatrix.from_arrays([rng.standard_normal((n, 7)) for n in (3000, 2000)])
+        widths, draw = [], lra.dvoretzky_gaussian
+
+        def recorded(rows, cols, p, seed):
+            widths.append(cols)
+            return draw(rows, cols, p, seed)
+
+        monkeypatch.setattr(lra, "dvoretzky_gaussian", recorded)
+        bicriteria_fair_lra(data, BicriteriaConfig(k=3, repeats=2, seed=5))
+        assert widths and max(widths) <= data.d
 
 
 class TestAlternatingFeasibility:

@@ -7,6 +7,8 @@ and L2 optima inherit the same invariances. A group seen
 only through the R factor of its thin QR costs what the group costs, which
 is the reduction that lets every Frobenius and L2 objective run on d x d
 blocks (Woodruff, *Sketching as a Tool for Numerical Linear Algebra*, 2014).
+The LRA and CSS solvers run on those cached factors, so handing them the R
+factors in place of the rows changes nothing they return, bit for bit.
 """
 
 import numpy as np
@@ -21,7 +23,8 @@ from fairsketch.grouped import (
     fair_regression_cost,
     fair_regression_group_costs,
 )
-from fairsketch.lra import eckart_young_lower_bound
+from fairsketch.css import bicriteria_fair_css
+from fairsketch.lra import BicriteriaConfig, bicriteria_fair_lra, eckart_young_lower_bound, svd_baseline
 from fairsketch.regression import minmax_subgradient, stacked_least_squares
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
@@ -120,6 +123,28 @@ def test_r_factor_reduction(inst):
     np.testing.assert_allclose(fair_regression_group_costs(r_data, r_labels, x, "l2"),
                                fair_regression_group_costs(data, GroupedLabels.from_arrays(targets), x, "l2"),
                                rtol=RTOL, atol=RTOL * scale)
+
+
+@SETTINGS
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_solvers_see_only_the_r_factors(inst, seed):
+    groups, _, V, _, _ = inst
+    k = V.shape[0]
+    data = GroupedMatrix.from_arrays(groups, [f"grp{i}" for i in range(len(groups))])
+    reduced = GroupedMatrix.from_arrays(data.r_factors, data.labels)
+    cfg = BicriteriaConfig(k=k, lewis_samples=k + 1, seed=seed)
+
+    sol, r_sol = bicriteria_fair_lra(data, cfg), bicriteria_fair_lra(reduced, cfg)
+    assert np.array_equal(r_sol.v_tilde, sol.v_tilde)
+    assert (r_sol.t, r_sol.cost) == (sol.t, sol.cost)
+    base, r_base = svd_baseline(data, k), svd_baseline(reduced, k)
+    assert np.array_equal(r_base.T @ r_base, base.T @ base)
+    assert eckart_young_lower_bound(reduced, k) == eckart_young_lower_bound(data, k)
+    assert np.array_equal(fair_lra_group_costs(reduced, V), fair_lra_group_costs(data, V))
+    for refit in (False, True):
+        css, r_css = bicriteria_fair_css(data, cfg, refit), bicriteria_fair_css(reduced, cfg, refit)
+        assert (r_css.indices, r_css.cost) == (css.indices, css.cost)
+        assert all(np.array_equal(a, b) for a, b in zip(r_css.factors, css.factors))
 
 
 def minmax_optimum(groups, targets, norm) -> float:
