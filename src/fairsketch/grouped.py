@@ -5,9 +5,12 @@ one feature dimension. Groups are kept as separate arrays so per-group costs
 need no row-offset arithmetic. The Frobenius objectives (low-rank
 approximation and column selection) see a group only through its Gram
 matrix, so they run on each group's thin-QR factor R_i, computed once per
-grouped matrix: ||A_i - A_i P||_F = ||R_i - R_i P||_F for every P. ``stacked``
-provides the vertical concatenation of the raw rows for regression, whose L1
-objective is not rotation-invariant.
+grouped matrix: ||A_i - A_i P||_F = ||R_i - R_i P||_F for every P. L2 regression
+sees a group only through the R factor of [A_i b_i], since
+||A_i x - b_i|| = ||R_i [x; -1]||, computed once per (data, labels) pair by
+``GroupedLabels.augmented_r``. Only the L1 objective, which is not
+rotation-invariant, the feasibility exports and the reported per-group costs
+read the raw rows; ``stacked`` provides their vertical concatenation.
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ import numpy as np
 from .linalg import as_matrix, as_vector, pseudoinverse
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on writes; ``a`` itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class GroupedMatrix:
     """Per-group observation matrices A_1..A_ell with d shared columns.
@@ -30,13 +40,17 @@ class GroupedMatrix:
     and ``stacked_r`` the R of the stacked R_i, which is also an R factor of
     the stacked rows. Each has the Gram matrix of what it stands for, so every
     Frobenius cost, projection and Gaussian sketch law is the same on it.
+
+    The groups are held by reference, as read-only views of the caller's
+    arrays, so the cached factors go stale if those arrays change: build a
+    new GroupedMatrix after changing the data.
     """
 
     groups: tuple
     labels: tuple
 
     def __post_init__(self):
-        groups = tuple(as_matrix(g, f"group {i}") for i, g in enumerate(self.groups))
+        groups = tuple(_read_only(as_matrix(g, f"group {i}")) for i, g in enumerate(self.groups))
         labels = tuple(str(x) for x in self.labels) if self.labels else tuple(
             f"g{i}" for i in range(len(groups))
         )
@@ -87,12 +101,19 @@ class GroupedMatrix:
 
 @dataclass(frozen=True)
 class GroupedLabels:
-    """Per-group regression targets b_1..b_ell paired with a GroupedMatrix."""
+    """Per-group regression targets b_1..b_ell paired with a GroupedMatrix.
+
+    ``augmented_r(data)`` is computed on first use and cached for the last
+    ``data`` it was called with (matched by identity, as ``r_factors`` is).
+    The targets are held by reference, as read-only views of the caller's
+    arrays, so the cache goes stale if those arrays change: build a new
+    GroupedLabels after changing the data.
+    """
 
     targets: tuple
 
     def __post_init__(self):
-        targets = tuple(as_vector(t, f"target {i}") for i, t in enumerate(self.targets))
+        targets = tuple(_read_only(as_vector(t, f"target {i}")) for i, t in enumerate(self.targets))
         object.__setattr__(self, "targets", targets)
 
     @classmethod
@@ -110,6 +131,23 @@ class GroupedLabels:
 
     def stacked(self) -> np.ndarray:
         return np.concatenate(self.targets)
+
+    def augmented_r(self, data: GroupedMatrix) -> np.ndarray:
+        """The (ell, d+1, d+1) stack of R factors of [A_i b_i], each zero-padded to d+1 rows.
+
+        ||A_i x - b_i|| = ||R_i [x; -1]|| for every x, so every L2 regression
+        cost, and the stacked least-squares fit, is the same on the stack.
+        """
+        cached_data, R = getattr(self, "_augmented", (None, None))
+        if cached_data is not data:
+            self.validate_against(data)
+            R = np.zeros((data.ell, data.d + 1, data.d + 1))
+            for i, (A, b) in enumerate(zip(data.groups, self.targets)):
+                f = np.linalg.qr(np.column_stack([A, b]), mode="r")
+                R[i, : f.shape[0]] = f
+            R.flags.writeable = False
+            object.__setattr__(self, "_augmented", (data, R))
+        return R
 
 
 def fair_lra_group_costs(data: GroupedMatrix, V, squared: bool = False) -> np.ndarray:

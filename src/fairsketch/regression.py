@@ -99,10 +99,13 @@ def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> Regress
     """Least squares on the vertically stacked system.
 
     The returned vector's worst-group L2 cost is at most ell times the
-    min-max optimum for ell groups.
+    min-max optimum for ell groups. It is solved on the stack of R factors
+    of [A_i b_i] (``GroupedLabels.augmented_r``): with [A b] = Q [R_A r_b],
+    pinv(A) b = pinv(R_A) r_b, and R_A has A's singular values, so the
+    minimum-norm solution and its rank cut are the stacked system's.
     """
-    labels.validate_against(data)
-    x = pseudoinverse(data.stacked()) @ labels.stacked()
+    R = labels.augmented_r(data).reshape(-1, data.d + 1)
+    x = pseudoinverse(R[:, : data.d]) @ R[:, data.d]
     return _solution(data, labels, x, 0, "stacked", "l2")
 
 
@@ -140,12 +143,14 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     """min t s.t. ||A_i x - b_i|| <= t, |x_j| < delta, by a log-barrier Newton method.
 
     Each group enters only through R_i, the thin-QR factor of [A_i b_i]
-    (zero-padded to d + 1 rows), since ||A_i x - b_i|| = ||R_i [x; -1]||; a
-    Newton step therefore costs O(ell d^3) whatever the row counts. Columns
-    are scaled to unit norm and costs to s, the start point's worst-group
-    cost (the stacked least-squares seed's unless ``x0`` is given): with
-    x = s u / col, the residual over s is r_i = M_i u - beta_i, where M_i and
-    beta_i are R_i's scaled design and target columns. Each outer step
+    (zero-padded to d + 1 rows), since ||A_i x - b_i|| = ||R_i [x; -1]||.
+    The stack comes from ``labels.augmented_r(data)``, factored once per
+    (data, labels) pair, so neither a Newton step nor a repeated solve
+    depends on the row counts. Columns are scaled to unit norm and costs to
+    s, the start point's worst-group cost (the stacked least-squares seed's
+    unless ``x0`` is given): with x = s u / col, the residual over s is
+    r_i = M_i u - beta_i, where M_i and beta_i are R_i's scaled design and
+    target columns. Each outer step
     centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
     box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
     BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11). A
@@ -165,10 +170,7 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     gap stays open and the run ends at the floor.
     """
     d, ell = data.d, data.ell
-    R = np.zeros((ell, d + 1, d + 1))
-    for i, (A, b) in enumerate(zip(data.groups, labels.targets)):
-        f = np.linalg.qr(np.column_stack([A, b]), mode="r")
-        R[i, : f.shape[0]] = f
+    R = labels.augmented_r(data)
     col = np.linalg.norm(R[:, :, :d], axis=(0, 1))
     col[col == 0.0] = 1.0
     M = R[:, :, :d] / col  # unit-norm design columns

@@ -10,6 +10,7 @@ from fairsketch.grouped import (
     split_by_group,
 )
 from fairsketch.css import brute_force_css
+from fairsketch.regression import stacked_least_squares
 from fairsketch.experiments import synthetic_pair
 from oracles import random_grouped
 
@@ -182,6 +183,29 @@ def test_grouped_labels_validation():
     with pytest.raises(ValueError):
         GroupedLabels.from_arrays((np.ones(2), np.ones(2))).validate_against(data)
     GroupedLabels.from_arrays((np.ones(2), np.ones(1))).validate_against(data)
+
+
+def test_arrays_are_held_as_read_only_views():
+    rng = np.random.default_rng(76)
+    A, B = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    b = rng.standard_normal(5)
+    data = GroupedMatrix.from_arrays([A, B])
+    labels = GroupedLabels.from_arrays([b, np.ones(4)])
+    assert np.shares_memory(data.groups[0], A) and np.shares_memory(labels.targets[0], b)  # no copies
+    with pytest.raises(ValueError):
+        data.groups[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        labels.targets[0][0] = 1.0
+    V = rng.standard_normal((1, 3))
+    fair_lra_cost(data, V)  # fills the cached R factors
+    A *= 10.0  # the caller's array stays writable
+    fresh = GroupedMatrix.from_arrays([A, B])
+    assert fair_lra_cost(fresh, V) == pytest.approx(fair_lra_cost(GroupedMatrix.from_arrays([A.copy(), B]), V))
+    stacked_least_squares(fresh, labels)  # fills the cached R factors of [A_i b_i]
+    b += 1.0
+    fresh_labels = GroupedLabels.from_arrays([b, np.ones(4)])
+    ref, *_ = np.linalg.lstsq(np.vstack([A, B]), np.append(b, np.ones(4)), rcond=None)
+    assert np.allclose(stacked_least_squares(fresh, fresh_labels).x, ref, atol=1e-10)
 
 
 def test_split_by_group_integer_labels():

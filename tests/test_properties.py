@@ -9,6 +9,8 @@ is the reduction that lets every Frobenius and L2 objective run on d x d
 blocks (Woodruff, *Sketching as a Tool for Numerical Linear Algebra*, 2014).
 The LRA and CSS solvers run on those cached factors, so handing them the R
 factors in place of the rows changes nothing they return, bit for bit.
+Stacked least squares runs on the R factors of [A_i b_i] and still returns
+the stacked raw system's minimum-norm fit.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from fairsketch.grouped import (
     fair_regression_group_costs,
 )
 from fairsketch.css import bicriteria_fair_css
+from fairsketch.linalg import RANK_RTOL
 from fairsketch.lra import BicriteriaConfig, bicriteria_fair_lra, eckart_young_lower_bound, svd_baseline
 from fairsketch.regression import minmax_subgradient, stacked_least_squares
 
@@ -145,6 +148,24 @@ def test_solvers_see_only_the_r_factors(inst, seed):
         css, r_css = bicriteria_fair_css(data, cfg, refit), bicriteria_fair_css(reduced, cfg, refit)
         assert (r_css.indices, r_css.cost) == (css.indices, css.cost)
         assert all(np.array_equal(a, b) for a, b in zip(r_css.factors, css.factors))
+
+
+@SETTINGS
+@given(instances(), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans())
+def test_stacked_least_squares_is_the_min_norm_fit(inst, c, duplicate):
+    # groups may have fewer than d + 1 rows, which leaves zero padding in their R factors;
+    # a duplicated column makes the design rank-deficient
+    groups, targets, _, _, _ = inst
+    groups, targets = [c * g for g in groups], [c * t for t in targets]
+    if duplicate:
+        groups = [np.column_stack([g, g[:, :1]]) for g in groups]
+    A, b = np.vstack(groups), np.concatenate(targets)
+    x = stacked_least_squares(GroupedMatrix.from_arrays(groups), GroupedLabels.from_arrays(targets)).x
+    ref = np.linalg.lstsq(A, b, rcond=RANK_RTOL)[0]  # the same rank cut as the library's
+    s = np.linalg.svd(A, compute_uv=False)
+    cond = s[0] / s[s > RANK_RTOL * s[0]][-1]
+    # two backward-stable solves agree to about cond(A) rounding units
+    np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12 * cond * np.linalg.norm(ref))
 
 
 def minmax_optimum(groups, targets, norm) -> float:

@@ -72,6 +72,70 @@ class TestStackedLeastSquares:
         assert sol.gap == math.inf  # no certificate
 
 
+class TestAugmentedRCache:
+    """Every L2 path runs on ``GroupedLabels.augmented_r``, factored once per (data, labels) pair."""
+
+    def test_l2_paths_factor_once_and_never_stack(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        d = 4
+        groups = [rng.standard_normal((n, d)) for n in (30, 20)]
+        targets = [g @ rng.standard_normal(d) + rng.standard_normal(g.shape[0]) for g in groups]
+        data, labels = make(groups, targets)
+        calls, tall, real_svd = Counter(), [], np.linalg.svd
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def svd(M, *args, **kwargs):
+            if np.shape(M)[0] > 2 * (d + 1):
+                tall.append(np.shape(M))
+            return real_svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(GroupedMatrix, "stacked", counted("GroupedMatrix.stacked", GroupedMatrix.stacked))
+        monkeypatch.setattr(GroupedLabels, "stacked", counted("GroupedLabels.stacked", GroupedLabels.stacked))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        stacked_least_squares(data, labels)
+        minmax_subgradient(data, labels, norm="l2", eps=1e-6)
+        minmax_subgradient(data, labels, norm="l2", eps=1e-3)
+        binary_search_fair_regression(data, labels, norm="l2")
+        assert calls == {"qr": data.ell}
+        assert tall == []
+
+    def test_cache_follows_the_data_it_is_given(self):
+        rng = np.random.default_rng(74)
+        groups, targets = random_grouped(rng, 3, 3, max_rows=6)
+        labels = GroupedLabels.from_arrays(targets)
+        first = GroupedMatrix.from_arrays(groups)
+        second = GroupedMatrix.from_arrays([2.0 * g + 1.0 for g in groups])  # the same shapes
+        x_first = stacked_least_squares(first, labels).x
+        x_second = stacked_least_squares(second, labels).x
+        ref, *_ = np.linalg.lstsq(np.vstack(second.groups), labels.stacked(), rcond=None)
+        assert np.allclose(x_second, ref, atol=1e-10)
+        assert np.array_equal(stacked_least_squares(first, labels).x, x_first)
+        taller = GroupedMatrix.from_arrays([np.vstack([g, g[:1]]) for g in groups])
+        with pytest.raises(ValueError):
+            stacked_least_squares(taller, labels)
+        with pytest.raises(ValueError):
+            GroupedLabels.from_arrays([t[:-1] for t in targets]).augmented_r(first)
+
+    @pytest.mark.parametrize("solve", [
+        lambda data, labels: minmax_subgradient(data, labels, norm="l2", eps=1e-8),
+        lambda data, labels: binary_search_fair_regression(data, labels, norm="l2"),
+    ], ids=["barrier", "binary-search"])
+    def test_warm_cache_solves_bit_identically(self, solve):
+        rng = np.random.default_rng(75)
+        groups, targets = random_grouped(rng, 3, 4, max_rows=12)
+        data, labels = make(groups, targets)
+        cold = solve(data, labels)
+        warm = solve(data, labels)
+        assert np.array_equal(warm.x, cold.x)
+        assert (warm.gap, warm.iterations) == (cold.gap, cold.iterations)
+
+
 class TestSubgradient:
     def test_symmetric_absolute_values(self):
         data, labels = SYMMETRIC_1D
