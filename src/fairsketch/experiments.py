@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
+import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -108,27 +109,31 @@ class ExperimentReport:
 def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]]:
     """Read a header CSV into a grouped matrix (and optional targets).
 
-    Feature cells must parse as finite decimal reals; parse failures,
-    non-finite cells and rows shorter than the header are reported with their
-    line in the file, counting the header as line 1 and blank lines too. When
-    ``feature_cols`` is unset, every column except the group and label
-    columns is used. Subsampling is uniform without replacement,
-    seeded, and applied before grouping.
+    The header is read with ``csv``; the body in one pass of ``np.loadtxt``,
+    numpy's C reader, which makes no Python object per row but the group
+    cell. Every data row is validated, also when ``subsample`` keeps only
+    some: each row needs at least as many cells as the header, and every
+    feature and label cell must be a finite real in numpy's syntax, which is
+    Python's ``float`` syntax without digit-group underscores (``1_000``) or
+    non-ASCII digits; surrounding whitespace and quotes are allowed. A
+    rejected row is reported with its line in the file, counting the header
+    as line 1 and blank lines too. When ``feature_cols`` is unset, every
+    column except the group and label columns is used, and a column the
+    spec reads must not be named twice in the header. Subsampling is
+    uniform without replacement, seeded, and applied before grouping.
     """
     path = Path(spec.path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            header_lines = reader.line_num
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
 
     header = [h.strip() for h in header]
     col_of = {name: i for i, name in enumerate(header)}
@@ -144,55 +149,84 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
             raise DataError(f"{path}: feature column {name!r} not in header {header}")
     if not feature_cols:
         raise DataError(f"{path}: no feature columns left after excluding group/label")
-    if not rows:
+    checks = (feature_cols, (spec.label_col,)) if spec.label_col is not None else (feature_cols,)
+    real_cols = sum(checks, ())
+    for name in (spec.group_col, *real_cols):
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} is named {header.count(name)} times in the header")
+
+    # reading the header's last column makes numpy reject every row shorter than the header
+    usecols = [col_of[name] for name in real_cols] + [col_of[spec.group_col]]
+    fields = [("reals", np.float64, (len(real_cols),)), ("group", object)]
+    if len(header) - 1 not in usecols:
+        usecols.append(len(header) - 1)
+        fields.append(("last", "U1"))
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, dtype=np.dtype(fields), delimiter=",", skiprows=header_lines,
+                               comments=None, quotechar='"', encoding="utf-8", usecols=usecols, ndmin=1)
+    except ValueError as exc:
+        _locate_bad_row(path, header, checks, str(exc))
+    if not table.size:
         raise DataError(f"{path}: no data rows")
-    if min(map(len, rows)) < len(header):
-        i = next(i for i, row in enumerate(rows) if len(row) < len(header))
-        raise DataError(f"{path}: row {lines[i]} has {len(rows[i])} cells, the header has {len(header)}")
+    if not np.isfinite(table["reals"]).all():
+        _locate_bad_row(path, header, checks, "numpy read a non-finite value")
 
-    if spec.subsample is not None and spec.subsample < len(rows):
+    if spec.subsample is not None and spec.subsample < len(table):
         rng = np.random.default_rng(spec.seed)
-        chosen = np.sort(rng.choice(len(rows), size=spec.subsample, replace=False))
-        rows = [rows[i] for i in chosen]
-        lines = [lines[i] for i in chosen]
-
-    def parse_columns(names: Sequence[str]) -> np.ndarray:
-        """Columns ``names`` of every row as float64, one numpy conversion per call."""
-        get = operator.itemgetter(*(col_of[name] for name in names))
-        try:
-            return np.array(list(map(get, rows)), dtype=np.float64)
-        except ValueError:
-            # numpy rejects the cells float() rejects; parse per cell to name the first bad one
-            for i, row in enumerate(rows):
-                for name in names:
-                    cell = row[col_of[name]]
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {lines[i]}, column {name!r}: cannot parse {cell!r} as a real"
-                        ) from None
-            raise
-
-    def require_finite(values: np.ndarray, names: Sequence[str]) -> None:
-        bad = np.argwhere(~np.isfinite(values.reshape(len(rows), -1)))
-        if bad.size:
-            i, j = bad[0]
-            cell = rows[i][col_of[names[j]]]
-            raise DataError(f"{path}: row {lines[i]}, column {names[j]!r}: {cell!r} is not a finite real")
-
-    features = parse_columns(feature_cols).reshape(len(rows), len(feature_cols))
-    require_finite(features, feature_cols)
-    group_labels = [row[col_of[spec.group_col]] for row in rows]
-    data = split_by_group(features, group_labels)
+        table = table[np.sort(rng.choice(len(table), size=spec.subsample, replace=False))]
+    reals = table["reals"]
+    group_labels = table["group"].astype(str)
+    data = split_by_group(reals[:, :len(feature_cols)], group_labels)
 
     targets = None
     if spec.label_col is not None:
-        y = parse_columns((spec.label_col,))
-        require_finite(y, (spec.label_col,))
         _, buckets = group_indices(group_labels)
-        targets = GroupedLabels.from_arrays(tuple(y[buckets[lbl]] for lbl in data.labels))
+        targets = GroupedLabels.from_arrays(tuple(reals[buckets[lbl], -1] for lbl in data.labels))
     return data, targets
+
+
+def _numpy_real(cell: str) -> Optional[float]:
+    """``cell`` as ``np.loadtxt`` reads a float64, or None where it rejects the cell."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _locate_bad_row(path: Path, header: list, checks: Sequence, reason: str) -> NoReturn:
+    """Raise the DataError that names the first row of ``path`` numpy rejects.
+
+    Runs only after the body failed to load or held a non-finite value, and
+    re-reads the file with ``csv`` for its line numbers. Each check runs on
+    every row before the next starts: the row length, then for each name
+    tuple in ``checks`` (the features, then the label) the parse and the
+    finiteness of its cells. Raises with ``reason`` if no row fails.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    for line, row in rows:
+        if len(row) < len(header):
+            raise DataError(f"{path}: row {line} has {len(row)} cells, the header has {len(header)}")
+    for names in checks:
+        cells = [(line, name, row[header.index(name)]) for line, row in rows for name in names]
+        values = [_numpy_real(cell) for _, _, cell in cells]
+        for (line, name, cell), value in zip(cells, values):
+            if value is None:
+                raise DataError(f"{path}: row {line}, column {name!r}: cannot parse {cell!r} as a real")
+        for (line, name, cell), value in zip(cells, values):
+            if not math.isfinite(value):
+                raise DataError(f"{path}: row {line}, column {name!r}: {cell!r} is not a finite real")
+    raise DataError(f"{path}: {reason}")
 
 
 def synthetic_pair() -> GroupedMatrix:

@@ -216,18 +216,22 @@ def fair_regression_cost(
 
 
 def group_indices(group_col) -> tuple[tuple, dict]:
-    """Ordered distinct labels and their row-index buckets (first appearance order)."""
-    labels = [str(x) for x in group_col]
-    if not labels:
+    """Ordered distinct labels and their row-index buckets (first appearance order).
+
+    Labels compare as ``str(label)``; a numpy ``str`` array is taken as it is.
+    Each bucket is an ascending index array.
+    """
+    if isinstance(group_col, np.ndarray) and group_col.dtype.kind == "U":
+        labels = group_col
+    else:
+        labels = np.array([str(x) for x in group_col], dtype=object)
+    if not labels.size:
         raise ValueError("cannot group an empty label column")
-    order: list[str] = []
-    buckets: dict[str, list[int]] = {}
-    for i, lbl in enumerate(labels):
-        if lbl not in buckets:
-            buckets[lbl] = []
-            order.append(lbl)
-        buckets[lbl].append(i)
-    return tuple(order), buckets
+    distinct, first, code = np.unique(labels, return_index=True, return_inverse=True)
+    rows = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])
+    by_appearance = np.argsort(first)
+    order = tuple(str(distinct[i]) for i in by_appearance)
+    return order, {lbl: rows[i] for lbl, i in zip(order, by_appearance)}
 
 
 def split_by_group(rows, group_col) -> GroupedMatrix:

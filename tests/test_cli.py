@@ -190,3 +190,13 @@ def test_subsample_below_one_is_usage_error(grouped_csv, capsys, command, size):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"subsample must be >= 1, got {size}" in err
+
+
+def test_repeated_header_name_is_data_error(tmp_path, capsys):
+    # the repeated 'a' used to be read as two copies of its last column, and lra exited 0
+    path = tmp_path / "dup.csv"
+    path.write_text("a,a,g\n1,10,x\n2,20,y\n3,30,x\n")
+    rc = main(["lra", str(path), "--group-col", "g", "--k", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "column 'a' is named 2 times in the header" in err

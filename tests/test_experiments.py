@@ -1,8 +1,13 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairsketch.cli import main
 from fairsketch.experiments import (
     DataError,
     ExperimentReport,
@@ -109,6 +114,122 @@ class TestIngest:
         data, labels = ingest_csv(IngestSpec(path=path, group_col="g", label_col="y"))
         assert data.d == 1
         assert np.array_equal(np.concatenate(labels.targets), 2.0 * np.concatenate(data.groups)[:, 0])
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # a repeated feature name used to keep only its last column, a repeated group name the last group
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,g\n1,10,x\n2,20,y\n3,30,x\n")
+        with pytest.raises(DataError, match=r"column 'a' is named 2 times in the header"):
+            ingest_csv(IngestSpec(path=str(path), group_col="g"))
+        path.write_text("f,g,g\n1,x,p\n2,y,q\n")
+        with pytest.raises(DataError, match=r"column 'g' is named 2 times in the header"):
+            ingest_csv(IngestSpec(path=str(path), group_col="g"))
+        # a repeated column the spec does not read is harmless
+        path.write_text("f,g,note,note\n1,x,p,q\n2,y,p,q\n")
+        data, _ = ingest_csv(IngestSpec(path=str(path), group_col="g", feature_cols=("f",)))
+        assert data.labels == ("x", "y")
+
+
+def _reference_ingest(path, group_col, label_col, subsample, seed):
+    """The grouped arrays of a valid CSV, parsed cell by cell with ``csv`` and ``float``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = [row for row in reader if row]
+    if subsample is not None and subsample < len(rows):
+        chosen = np.sort(np.random.default_rng(seed).choice(len(rows), size=subsample, replace=False))
+        rows = [rows[i] for i in chosen]
+    features = [name for name in header if name not in (group_col, label_col)]
+    order = list(dict.fromkeys(row[header.index(group_col)] for row in rows))
+    members = [[row for row in rows if row[header.index(group_col)] == lbl] for lbl in order]
+    groups = [np.array([[float(row[header.index(f)]) for f in features] for row in m]) for m in members]
+    targets = label_col and [np.array([float(row[header.index(label_col)]) for row in m]) for m in members]
+    return tuple(order), groups, targets
+
+
+@st.composite
+def valid_csvs(draw):
+    """CSV text with blank lines, CRLF, quoted and padded numbers, string or integer
+    group labels, rows longer than the header, and an optional label column."""
+    d = draw(st.integers(1, 4))
+    names = [f"x{j}" for j in range(d)] + ["grp"]
+    label_col = draw(st.sampled_from([None, "y"]))
+    if label_col:
+        names.append(label_col)
+    names = draw(st.permutations(names))
+    int_labels = draw(st.booleans())
+    label_text = st.integers(-3, 3).map(str) if int_labels else st.sampled_from(["a", "b b", " c", '"q,r"', "D"])
+    real = st.floats(-1e300, 1e300)  # bounded, so "{:.3e}" cannot round up to inf
+    spelled = st.tuples(real, st.sampled_from(["{!r}", " {!r} ", '"{!r}"', "{:.3e}", "{:.0f}"])).map(
+        lambda t: t[1].format(t[0]))
+    n = draw(st.integers(1, 12))
+    lines = [",".join(names)]
+    for _ in range(n):
+        cells = [draw(label_text) if name == "grp" else draw(spelled) for name in names]
+        cells += ["extra"] * draw(st.integers(0, 2))
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    subsample = draw(st.one_of(st.none(), st.integers(1, n + 1)))
+    return newline.join(lines) + newline, label_col, subsample, draw(st.integers(0, 99))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(valid_csvs())
+def test_ingest_matches_a_per_cell_reference(tmp_path_factory, case):
+    text, label_col, subsample, seed = case
+    path = tmp_path_factory.mktemp("csv") / "valid.csv"
+    path.write_bytes(text.encode("utf-8"))
+    order, groups, targets = _reference_ingest(path, "grp", label_col, subsample, seed)
+    data, labels = ingest_csv(IngestSpec(path=str(path), group_col="grp", label_col=label_col,
+                                         subsample=subsample, seed=seed))
+    assert data.labels == order
+    assert all(np.array_equal(a, b) for a, b in zip(data.groups, groups, strict=True))
+    if label_col:
+        assert all(np.array_equal(a, b) for a, b in zip(labels.targets, targets, strict=True))
+    else:
+        assert labels is None
+
+
+def _seed_keeping_only_the_first(rows: int, n_rows: int, size: int) -> int:
+    """A seed whose subsample of ``size`` of ``n_rows`` rows keeps only rows among the first ``rows``."""
+    return next(s for s in range(1000)
+                if np.random.default_rng(s).choice(n_rows, size=size, replace=False).max() < rows)
+
+
+# body lines under the header "f1,f2,g,y"; the first bad row is the 4th data row (file line 5)
+GOOD = ["1.0,2.0,a,0.5", "3.0,4.0,b,1.5", "5.0,6.0,a,2.5"]
+MALFORMED = {
+    "feature-unparseable": (GOOD + ["7.0,oops,b,3.5"], r"row 5, column 'f2': cannot parse 'oops'"),
+    "label-unparseable": (GOOD + ["7.0,8.0,b,bad"], r"row 5, column 'y': cannot parse 'bad'"),
+    "feature-nan": (GOOD + ["nan,8.0,b,3.5"], r"row 5, column 'f1': 'nan' is not a finite real"),
+    "label-inf": (GOOD + ["7.0,8.0,b,inf"], r"row 5, column 'y': 'inf' is not a finite real"),
+    "hex": (GOOD + ["0x10,8.0,b,3.5"], r"row 5, column 'f1': cannot parse '0x10'"),
+    "empty-cell": (GOOD + ["7.0,,b,3.5"], r"row 5, column 'f2': cannot parse ''"),
+    "overflow": (GOOD + ["7.0,1e500,b,3.5"], r"row 5, column 'f2': '1e500' is not a finite real"),
+    "underscore": (GOOD + ["1_000,8.0,b,3.5"], r"row 5, column 'f1': cannot parse '1_000'"),
+    "short-row": (GOOD + ["7.0,8.0"], r"row 5 has 2 cells, the header has 4"),
+    "whitespace-line": (GOOD + ["   "], r"row 5 has 1 cells, the header has 4"),
+    "nan-before-bad-label": (GOOD + ["nan,8.0,b,3.5", "9.0,1.0,a,bad"], r"row 5, column 'f1': 'nan'"),
+    "bad-label-before-nan": (GOOD + ["7.0,8.0,b,bad", "nan,1.0,a,4.5"], r"row 6, column 'f1': 'nan'"),
+    "header-only": ([], r"no data rows"),
+}
+
+
+@pytest.mark.parametrize("subsample", [False, True], ids=["all-rows", "subsample-drops-it"])
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_csv_is_located_on_every_row(tmp_path, capsys, name, subsample):
+    body, message = MALFORMED[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join(["f1,f2,g,y", *body]) + "\n")
+    # the subsample keeps two of the three good rows; every row is still validated
+    size, seed = 2, _seed_keeping_only_the_first(len(GOOD), len(body) or len(GOOD), 2)
+    spec_args = dict(subsample=size, seed=seed) if subsample else {}
+    with pytest.raises(DataError, match=message):
+        ingest_csv(IngestSpec(path=str(path), group_col="g", feature_cols=("f1", "f2"), label_col="y", **spec_args))
+    argv = ["regress", str(path), "--group-col", "g", "--features", "f1,f2", "--label-col", "y"]
+    assert main(argv + (["--s", str(size), "--seed", str(seed)] if subsample else [])) == 3
+    assert re.search(message, capsys.readouterr().err)
 
 
 class TestSyntheticSuite:

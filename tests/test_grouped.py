@@ -7,6 +7,7 @@ from fairsketch.grouped import (
     fair_css_cost,
     fair_lra_cost,
     fair_regression_cost,
+    group_indices,
     split_by_group,
 )
 from fairsketch.css import brute_force_css
@@ -219,3 +220,33 @@ def test_norms_of_zero_matrix():
 
     assert norm_entrywise(np.zeros((3, 2)), 3) == 0.0
     assert norm_columns_p2(np.zeros((3, 2)), 3) == 0.0
+
+
+def _first_appearance_buckets(col):
+    buckets = {}
+    for i, lbl in enumerate(col):
+        buckets.setdefault(str(lbl), []).append(i)
+    return buckets
+
+
+@pytest.mark.parametrize("col", [
+    [3, 1, 3, 2, 1, 1],
+    [0.5, 2.0, 0.5, -1.0, 1e-20],
+    ["b", "a", "", "b", "a b", "a"],
+    [1, "1", 2.0, "x", 1.0, 2],
+    np.array(["m", "f", "f", " m", "m"]),
+], ids=["int", "float", "str", "mixed", "numpy-str"])
+def test_group_indices_matches_first_appearance(col):
+    ref = _first_appearance_buckets(col)
+    order, buckets = group_indices(col)
+    assert order == tuple(ref)
+    assert all(type(lbl) is str for lbl in order)
+    assert buckets.keys() == ref.keys()
+    for lbl in order:
+        assert np.array_equal(buckets[lbl], ref[lbl])
+
+
+def test_group_indices_rejects_an_empty_column():
+    for empty in ([], np.array([], dtype=str)):
+        with pytest.raises(ValueError, match="empty label column"):
+            group_indices(empty)
