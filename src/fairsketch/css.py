@@ -23,9 +23,8 @@ import numpy as np
 from .grouped import GroupedMatrix, fair_css_cost
 from .linalg import pseudoinverse
 from .lra import BicriteriaConfig, bicriteria_fair_lra, spawn_seeds
-from .sampling import _keep_probabilities, leverage_scores
+from .sampling import leverage_sampling_matrix, leverage_scores
 
-COLUMN_DRAWS = 8  # column draws before the selector gives up on an empty sample
 MAX_SUBSETS = 100_000  # largest C(d, k) that brute_force_css will enumerate
 
 
@@ -50,8 +49,8 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
     by their leverage scores (independent inclusion, probability
     min(1, score * log d)), and caps the draw at ``css_budget(cfg.k)``
     columns, keeping the highest-leverage sampled columns when over budget.
-    An empty draw is retried with doubled inclusion probabilities; after
-    ``COLUMN_DRAWS`` empty draws it raises RuntimeError. With ``refit`` each
+    The draw is ``leverage_sampling_matrix``'s; when it keeps no column, the
+    highest-leverage column is selected. With ``refit`` each
     group's factor is replaced by its own least-squares fit onto the selected
     columns, pinv(R_i[:, S]) R_i, which equals pinv(A_i[:, S]) A_i because
     A_i = Q_i R_i with orthonormal Q_i.
@@ -67,18 +66,10 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
         return CssSolution(indices=tuple(int(i) for i in idx), factors=factors, cost=0.0)
 
     col_scores = leverage_scores(v_tilde.T)
-    base_probs = _keep_probabilities(col_scores.scores)
     # child number cfg.repeats of the seed: the pipeline's repeats use the children before it
-    rng = np.random.default_rng(spawn_seeds(cfg.seed, cfg.repeats + 1)[-1])
-    idx = np.zeros(0, dtype=int)
-    for attempt in range(COLUMN_DRAWS):
-        probs = np.minimum(1.0, base_probs * 2.0 ** attempt)
-        keep = rng.random(data.d) < probs
-        idx = np.flatnonzero(keep)
-        if idx.size >= 1:
-            break
+    idx = leverage_sampling_matrix(col_scores, spawn_seeds(cfg.seed, cfg.repeats + 1)[-1]).indices
     if idx.size == 0:
-        raise RuntimeError(f"column sampler drew no columns in {COLUMN_DRAWS} attempts")
+        idx = np.array([int(np.argmax(col_scores.scores))])
     if idx.size > budget:
         top = np.argsort(-col_scores.scores[idx], kind="stable")[:budget]
         idx = np.sort(idx[top])

@@ -126,7 +126,7 @@ def ingest_csv(spec: IngestSpec) -> tuple[GroupedMatrix, Optional[GroupedLabels]
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             reader = csv.reader(fh)
             header = next(reader, None)
             header_lines = reader.line_num

@@ -15,8 +15,8 @@ independent of the row count n. Three solvers share this module:
   draws Z and multiplies ``stacked_r``. Polynomial time; the output rank is
   governed by the row sample count rather than k itself.
 * ``binary_search_fair_lra`` -- a guess-and-verify driver that geometrically
-  shrinks a feasibility threshold, backed by a heuristic feasibility oracle
-  (``alternating_feasibility``). The oracle is a smoothed min-max heuristic,
+  shrinks a feasibility threshold and checks each one by calling
+  ``alternating_feasibility``, a smoothed min-max heuristic. The heuristic is
   not a certified decision procedure, so the driver inherits no optimality
   guarantee; it never returns anything worse than its starting factor.
 """
@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .grouped import GroupedMatrix, fair_lra_cost
-from .linalg import as_matrix, best_rank_k, numerical_rank, orthonormal_rows, pseudoinverse
+from .linalg import best_rank_k, numerical_rank, orthonormal_rows, pseudoinverse
 from .sampling import lewis_sampling_matrix, lewis_weights
 from .sketch import dvoretzky_gaussian, dvoretzky_right_embedding
 
@@ -260,56 +260,33 @@ def alternating_feasibility(
     return best_V if best_cost <= alpha_sq else None
 
 
-def binary_search_fair_lra(
-    data: GroupedMatrix,
-    k: int,
-    eps: float,
-    oracle: Optional[Callable[[float], Optional[np.ndarray]]] = None,
-    seed: int = 0,
-) -> FairLraSolution:
+def binary_search_fair_lra(data: GroupedMatrix, k: int, eps: float, seed: int = 0) -> FairLraSolution:
     """Shrink a feasibility threshold geometrically and keep the best factor.
 
     Starts from the stacked-SVD baseline cost alpha0, which any shared factor
-    can match, and divides by (1 + eps) while the oracle keeps producing
-    factors; stops at the first failure or at the floor 1e-9 * alpha0. The
-    oracle maps a threshold to a factor or None; the default is
-    ``alternating_feasibility`` with per-call derived seeds. Returns the
-    baseline factor if the oracle fails immediately.
+    can match, and divides by (1 + eps) while ``alternating_feasibility``,
+    with per-call derived seeds, keeps producing factors; stops at the first
+    failure or at the floor 1e-9 * alpha0. The baseline is the best factor
+    until a cheaper one turns up, so it is returned when none does.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    V_base = svd_baseline(data, k)
-    alpha = base_cost = fair_lra_cost(data, V_base)
-
-    def default_oracle(a: float, call: int) -> Optional[np.ndarray]:
-        return alternating_feasibility(data, k, a, seed=seed + 7919 * call)
-
-    def make_solution(V: np.ndarray, cost: float) -> FairLraSolution:
-        return FairLraSolution(v_tilde=V, t=numerical_rank(V), cost=cost, t_rows=0, p=0.0)
-
-    if alpha <= 0.0:
-        return make_solution(V_base, base_cost)
-
-    floor = 1e-9 * alpha
-    max_calls = math.ceil(math.log(alpha / floor) / math.log1p(eps))
-    best_V: Optional[np.ndarray] = None
-    best_cost = math.inf
-    current = alpha
-    for call in range(max_calls):
-        V = oracle(current) if oracle is not None else default_oracle(current, call)
-        if V is None:
-            break
-        V = as_matrix(V, "oracle factor")
-        cost = fair_lra_cost(data, V)
-        if cost < best_cost:
-            best_cost, best_V = cost, V
-        current /= 1.0 + eps
-        if current < floor:
-            break
-    if best_V is None or base_cost < best_cost:
-        # the oracle failed at once or found nothing cheaper than the baseline
-        return make_solution(V_base, base_cost)
-    return make_solution(best_V, best_cost)
+    best_V = svd_baseline(data, k)
+    alpha = best_cost = fair_lra_cost(data, best_V)
+    if alpha > 0.0:
+        floor = 1e-9 * alpha
+        max_calls = math.ceil(math.log(alpha / floor) / math.log1p(eps))
+        for call in range(max_calls):
+            V = alternating_feasibility(data, k, alpha, seed=seed + 7919 * call)
+            if V is None:
+                break
+            cost = fair_lra_cost(data, V)
+            if cost < best_cost:
+                best_cost, best_V = cost, V
+            alpha /= 1.0 + eps
+            if alpha < floor:
+                break
+    return FairLraSolution(v_tilde=best_V, t=numerical_rank(best_V), cost=best_cost, t_rows=0, p=0.0)
 
 
 def eckart_young_lower_bound(data: GroupedMatrix, k: int) -> float:

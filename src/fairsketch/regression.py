@@ -17,16 +17,17 @@ hence convex, so three complementary routes are provided:
   constrained program (L2, threshold on the squared cost), emitted in a
   CPLEX-LP-style text format for external solvers.
 
-``binary_search_fair_regression`` shrinks the threshold geometrically from
-the stacked seed, consulting a feasibility oracle (by default
-``minmax_subgradient``) until it fails.
+``binary_search_fair_regression`` is the paper's guess-and-verify search
+over the thresholds L0 / (1 + eps)^j below the stacked seed's cost L0. One
+exact ``minmax_subgradient`` solve decides every threshold at once, so the
+search takes no oracle and no start point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,10 +49,6 @@ REGULARISE = 1e-14  # shift of K's diagonal, relative to its largest entry, that
 GRAM_ROWS = 512  # rows per block of K's weighted Gram matrix: n x d temporaries fragment the heap
 TO_BOUNDARY = 0.99  # interior-point steps go this fraction of the way to the nearest bound s, z >= 0
 GAP_FLOOR = 1e-9  # below this relative gap the slacks t - ||r_i|| keep too few digits for Newton steps
-
-
-class OracleContractError(RuntimeError):
-    """A feasibility oracle accepted a threshold its solution does not meet."""
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,18 @@ def _box_radius(s: np.ndarray, bmax: float) -> float:
 
 
 def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
-    """Box radius 10 * (max_i ||b_i|| / sigma_min(stacked A) + 1), clipped."""
-    s = np.linalg.svd(data.stacked(), compute_uv=False)
-    return _box_radius(s, max(float(np.linalg.norm(b)) for b in labels.targets))
+    """Box radius 10 * (max_i ||b_i|| / sigma_min(stacked A) + 1), clipped.
+
+    Read from ``labels.augmented_r(data)``: with [A_i b_i] = Q_i R_i, the
+    stack of R_i's design blocks has the stacked design's singular values,
+    and R_i's target column has the norm of b_i.
+    """
+    R = labels.augmented_r(data)
+    s = np.linalg.svd(R[:, :, : data.d].reshape(-1, data.d), compute_uv=False)
+    return _box_radius(s, float(np.linalg.norm(R[:, :, data.d], axis=1).max()))
 
 
-def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSolution:
+def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolution:
     """min t s.t. ||A_i x - b_i|| <= t, |x_j| < delta, by a log-barrier Newton method.
 
     Each group enters only through R_i, the thin-QR factor of [A_i b_i]
@@ -147,15 +150,14 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     The stack comes from ``labels.augmented_r(data)``, factored once per
     (data, labels) pair, so neither a Newton step nor a repeated solve
     depends on the row counts. Columns are scaled to unit norm and costs to
-    s, the start point's worst-group cost (the stacked least-squares seed's
-    unless ``x0`` is given): with x = s u / col, the residual over s is
+    s, the worst-group cost of the start point, the stacked least-squares
+    seed clipped into the box: with x = s u / col, the residual over s is
     r_i = M_i u - beta_i, where M_i and beta_i are R_i's scaled design and
     target columns. Each outer step
     centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
     box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
     BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11). A
-    ``delta`` of None is set from the R stack, whose singular values are the
-    stacked design's.
+    ``delta`` of None is set by ``default_box_radius``, from the same R stack.
 
     After each centring a dual point certifies a lower bound on the optimum
     over all x. With w_i = 1/(t^2 - ||r_i||^2), z_i = w_i r_i is moved to the
@@ -177,16 +179,11 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta, x0) -> RegressionSol
     P = pseudoinverse(M.reshape(-1, d))
     seed = P @ R[:, :, d].reshape(-1) / col
     bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
-    if delta is None:  # the R stack has the stacked design's singular values
-        delta = _box_radius(np.linalg.svd(R[:, :, :d].reshape(-1, d), compute_uv=False), bmax)
+    if delta is None:
+        delta = default_box_radius(data, labels)
     fit = 1e-12 * max(bmax, 1.0)
-
-    def worst(x):
-        return float(np.linalg.norm(R[:, :, :d] @ x - R[:, :, d], axis=1).max())
-
-    start = seed if x0 is None or worst(seed) <= fit else x0
-    start = np.clip(start, -INTERIOR * delta, INTERIOR * delta)
-    scale = worst(start)
+    start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
+    scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
     if scale <= fit:  # an exact fit: the Newton system would be singular at t = 0
         sol = _solution(data, labels, start, 0, "barrier", "l2")
         return replace(sol, gap=sol.max_cost)  # the trivial bound OPT >= 0
@@ -262,11 +259,11 @@ def _max_step(a: np.ndarray, da: np.ndarray) -> float:
     return min(1.0, float(ratio.min()))
 
 
-def _minmax_l1_ipm(data, labels, eps, max_iters, delta, x0) -> RegressionSolution:
+def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
     """min t s.t. ||A_i x - b_i||_1 <= t, |x_k| <= delta, by a primal-dual interior-point method.
 
-    Costs are divided by ``scale``, the start point's worst-group cost (the
-    stacked least-squares seed's unless ``x0`` is given): beta = b / scale
+    Costs are divided by ``scale``, the worst-group cost of the start point,
+    the stacked least-squares seed clipped into the box: beta = b / scale
     and lim = delta / scale. A ``delta`` of None is set as in
     ``default_box_radius``, from the singular values sigma of the one SVD
     below; since sigma is cut at RANK_RTOL, the radius follows the rank the
@@ -324,9 +321,6 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta, x0) -> RegressionSolutio
     def per_group(v):
         return np.add.reduceat(v, starts, axis=-1)
 
-    def worst(x):
-        return max(float(np.abs(A @ x - t).sum()) for A, t in zip(data.groups, labels.targets))
-
     sv = svd(data.stacked())  # A = U diag(sigma) V up to RANK_RTOL
     if delta is None:
         delta = _box_radius(sv.sigma, max(float(np.linalg.norm(y)) for y in labels.targets))
@@ -337,9 +331,8 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta, x0) -> RegressionSolutio
     fit = 1e-12 * max(float(per_group(np.abs(b)).max()), 1.0)
 
     seed = T @ (MT @ b)  # the stacked least-squares fit, pinv(A) b
-    start = seed if x0 is None or worst(seed) <= fit else x0
-    start = np.clip(start, -INTERIOR * delta, INTERIOR * delta)
-    scale = worst(start)
+    start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
+    scale = max(float(np.abs(A @ start - t).sum()) for A, t in zip(data.groups, labels.targets))
     if scale <= fit:  # an exact fit, with no cost to scale by
         sol = _solution(data, labels, start, 0, "interior-point", "l1")
         return replace(sol, gap=sol.max_cost)  # the trivial bound OPT >= 0
@@ -438,7 +431,6 @@ def minmax_subgradient(
     eps: float = 1e-5,
     max_iters: int = 6000,
     box_delta: Optional[float] = None,
-    x0=None,
 ) -> RegressionSolution:
     """Minimise the worst-group loss over the box [-box_delta, box_delta]^d.
 
@@ -456,10 +448,10 @@ def minmax_subgradient(
     (``binary_search_fair_regression`` reads its ``eps`` as a relative step),
     at a precision floor near a relative gap of 1e-9, or after ``max_iters``
     iterations. An exact fit inside the box returns at once with none. Both
-    start from the stacked least-squares seed, or from ``x0`` when given and
-    the seed does not fit exactly, clipped into the box, and keep their
-    iterates strictly inside it. An unset radius comes from the singular
-    values of the stacked design, as in ``default_box_radius``.
+    start from the stacked least-squares seed clipped into the box, take no
+    other start point, and keep their iterates strictly inside the box. An
+    unset radius comes from the singular values of the stacked design, as in
+    ``default_box_radius``.
     """
     labels.validate_against(data)
     if norm not in ("l1", "l2"):
@@ -470,12 +462,8 @@ def minmax_subgradient(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if box_delta is not None and box_delta <= 0:
         raise ValueError(f"box radius must be positive, got {box_delta}")
-    if x0 is not None:
-        x0 = as_vector(x0, "x0")
-        if x0.shape[0] != data.d:
-            raise ValueError(f"x0 has length {x0.shape[0]}, expected {data.d}")
     solve = _minmax_l2_barrier if norm == "l2" else _minmax_l1_ipm
-    return solve(data, labels, eps, max_iters, None if box_delta is None else float(box_delta), x0)
+    return solve(data, labels, eps, max_iters, None if box_delta is None else float(box_delta))
 
 
 def _fmt(v: float) -> str:
@@ -576,61 +564,27 @@ def binary_search_fair_regression(
     labels: GroupedLabels,
     norm: str = "l2",
     eps: float = 0.05,
-    oracle: Optional[Callable[[float], Optional[np.ndarray]]] = None,
 ) -> RegressionSolution:
-    """Threshold search: shrink L by (1 + eps) while it stays feasible.
+    """Threshold search: the levels L0 / (1 + eps)^j that one exact solve meets.
 
-    L starts at the stacked-least-squares worst-group cost. An oracle call
-    at threshold L must return an x with cost at most L * (1 + eps/4) or
-    None; a returned x that misses its threshold raises
-    OracleContractError. The default oracle runs ``minmax_subgradient``,
-    warm-started from the previous accept: in either norm that solve is
-    exact to within L * eps / 20, so the first probe already reaches the
-    optimum and the search only confirms it. At most
-    ceil(log_{1+eps}(ell)) + 2 shrink steps are attempted, which suffices to
-    walk the ell-approximation seed down to a (1 + eps)-approximation.
-    ``gap`` carries the best certificate the default oracle's solves gave
-    (inf with a caller's oracle).
+    L0 is the stacked least-squares seed's worst-group cost, and j runs up to
+    cap = ceil(log_{1+eps}(ell)) + 2, enough steps to walk the
+    ell-approximation seed down to a (1 + eps)-approximation. One
+    ``minmax_subgradient`` solve, to within max(1e-9, L_min * eps / 20) of
+    the optimum at L_min = L0 / (1 + eps)^cap, the lowest level, decides
+    every threshold: ``iterations`` counts the levels j >= 1 its cost meets
+    within the slack (1 + eps/4). The result is the solve's x, or the seed
+    when the seed is cheaper, and ``gap`` comes from the solve's certificate.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    seed_sol = stacked_least_squares(data, labels)
-    x_best = seed_sol.x
-    level = fair_regression_cost(data, labels, x_best, norm)
-    slack = 1.0 + eps / 4.0
-
-    state = {"x": x_best, "best_x": x_best, "best_cost": level, "lower": -math.inf}
-
-    def default_oracle(thr: float) -> Optional[np.ndarray]:
-        inner_eps = max(1e-9, thr * eps / 20.0)
-        sol = minmax_subgradient(data, labels, norm=norm, eps=inner_eps, x0=state["x"])
-        state["lower"] = max(state["lower"], sol.max_cost - sol.gap)
-        if sol.max_cost < state["best_cost"]:
-            state["best_x"], state["best_cost"] = sol.x, sol.max_cost
-        if sol.max_cost <= thr * slack:
-            state["x"] = sol.x
-            return sol.x
-        return None
-
-    probe = oracle if oracle is not None else default_oracle
+    seed = stacked_least_squares(data, labels).x
+    level = fair_regression_cost(data, labels, seed, norm)
     cap = math.ceil(math.log(max(data.ell, 2)) / math.log1p(eps)) + 2
-    shrinks = 0
-    tol = 1e-9 * max(level, 1.0)
-    for _ in range(cap):
-        candidate_level = level / (1.0 + eps)
-        x_cand = probe(candidate_level)
-        if x_cand is None:
-            break
-        x_cand = as_vector(x_cand, "oracle solution")
-        achieved = fair_regression_cost(data, labels, x_cand, norm)
-        if achieved > candidate_level * slack + tol:
-            raise OracleContractError(
-                f"oracle accepted threshold {candidate_level:.6g} with cost {achieved:.6g}"
-            )
-        x_best, level = x_cand, candidate_level
-        shrinks += 1
-    if oracle is None and state["best_cost"] < fair_regression_cost(data, labels, x_best, norm):
-        # a failed probe may still have found a strictly better point; keep it
-        x_best = state["best_x"]
-    sol = _solution(data, labels, x_best, shrinks, "binary-search", norm)
-    return replace(sol, gap=max(sol.max_cost - state["lower"], 0.0))
+    lowest = level / (1.0 + eps) ** cap
+    sol = minmax_subgradient(data, labels, norm=norm, eps=max(1e-9, lowest * eps / 20.0))
+    levels = level / (1.0 + eps) ** np.arange(1, cap + 1)
+    met = np.count_nonzero(sol.max_cost <= levels * (1.0 + eps / 4.0))
+    x = seed if level < sol.max_cost else sol.x
+    out = _solution(data, labels, x, met, "binary-search", norm)
+    return replace(out, gap=max(out.max_cost - (sol.max_cost - sol.gap), 0.0))

@@ -87,14 +87,6 @@ def leverage_scores(M) -> LeverageScores:
     return LeverageScores(scores=s, rank=f.rank)
 
 
-def _keep_probabilities(scores: np.ndarray) -> np.ndarray:
-    # log base 2 of the score count, clamped so a single-row matrix still keeps
-    # its row: a row with full leverage must survive or the sampler loses
-    # unbiasedness.
-    log_factor = math.log2(max(scores.shape[0], 2))
-    return np.minimum(1.0, scores * log_factor)
-
-
 def leverage_sampling_matrix(scores: LeverageScores, seed: int) -> SamplingMatrix:
     """Independent row sampler with inclusion probability min(1, score * log n).
 
@@ -103,8 +95,11 @@ def leverage_sampling_matrix(scores: LeverageScores, seed: int) -> SamplingMatri
     every vector v. Rows with zero leverage are never kept; rows with full
     leverage are always kept.
     """
-    probs = _keep_probabilities(scores.scores)
-    n = probs.shape[0]
+    n = scores.scores.shape[0]
+    # log base 2 of the score count, clamped so a single-row matrix still keeps
+    # its row: a row with full leverage must survive or the sampler loses
+    # unbiasedness.
+    probs = np.minimum(1.0, scores.scores * math.log2(max(n, 2)))
     rng = np.random.default_rng(seed)
     keep = rng.random(n) < probs
     idx = np.flatnonzero(keep)

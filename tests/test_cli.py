@@ -192,6 +192,14 @@ def test_subsample_below_one_is_usage_error(grouped_csv, capsys, command, size):
     assert f"subsample must be >= 1, got {size}" in err
 
 
+def test_byte_order_mark_csv_runs(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfSEX,a,b\n1,1.0,2.0\n2,3.0,1.0\n")
+    rc = main(["lra", str(path), "--group-col", "SEX", "--k", "1"])
+    assert rc == 0
+    assert "groups: 2" in capsys.readouterr().out
+
+
 def test_repeated_header_name_is_data_error(tmp_path, capsys):
     # the repeated 'a' used to be read as two copies of its last column, and lra exited 0
     path = tmp_path / "dup.csv"

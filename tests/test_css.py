@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fairsketch import css
 from fairsketch.css import bicriteria_fair_css, brute_force_css, css_budget
 from fairsketch.grouped import GroupedMatrix, fair_css_cost
 from fairsketch.linalg import pseudoinverse
 from fairsketch.lra import BicriteriaConfig, bicriteria_fair_lra
+from fairsketch.sampling import SamplingMatrix
 from oracles import exhaustive_css
 
 
@@ -146,7 +148,7 @@ def test_brute_force_matches_independent_oracle():
 
 def test_sampler_always_returns_columns_on_spread_factors():
     # rank-1 factor spread over many columns gives every column tiny leverage;
-    # the doubling retry must still deliver a non-empty selection
+    # an empty draw must still select a column, the highest-leverage one
     rng = np.random.default_rng(11)
     A = np.outer(rng.standard_normal(4), np.ones(120))
     data = GroupedMatrix.from_arrays((A,))
@@ -154,3 +156,15 @@ def test_sampler_always_returns_columns_on_spread_factors():
         cfg = BicriteriaConfig(k=1, g_rows=4, h_cols=8, seed=seed)
         sol = bicriteria_fair_css(data, cfg)
         assert len(sol.indices) >= 1
+
+
+def test_empty_column_draw_selects_the_highest_leverage_column(monkeypatch):
+    # a rank-1 factor along the column weights: column 1 has the largest leverage
+    rng = np.random.default_rng(12)
+    data = GroupedMatrix.from_arrays((np.outer(rng.standard_normal(6), [0.1, 3.0, 0.5, 1.0]),))
+
+    def empty(scores, seed):
+        return SamplingMatrix(indices=np.zeros(0, dtype=int), scales=np.zeros(0), source_rows=scores.scores.size)
+
+    monkeypatch.setattr(css, "leverage_sampling_matrix", empty)
+    assert bicriteria_fair_css(data, BicriteriaConfig(k=1, seed=0)).indices == (1,)

@@ -115,6 +115,14 @@ class TestIngest:
         assert data.d == 1
         assert np.array_equal(np.concatenate(labels.targets), 2.0 * np.concatenate(data.groups)[:, 0])
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF, which used to stay in the first column name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfSEX,a,b\n1,1.0,2.0\n2,3.0,1.0\n")
+        data, _ = ingest_csv(IngestSpec(path=str(path), group_col="SEX"))
+        assert data.labels == ("1", "2")
+        assert np.array_equal(np.vstack(data.groups), [[1.0, 2.0], [3.0, 1.0]])
+
     def test_repeated_header_name_rejected(self, tmp_path):
         # a repeated feature name used to keep only its last column, a repeated group name the last group
         path = tmp_path / "dup.csv"

@@ -178,27 +178,6 @@ class TestBinarySearch:
         base = fair_lra_cost(data, svd_baseline(data, 2))
         assert sol.cost <= base + 1e-12
 
-    def test_recorded_costs_monotone(self):
-        data = synthetic_pair()
-        seen = []
-
-        def oracle(alpha):
-            V = alternating_feasibility(data, 2, alpha, iters=120, seed=5)
-            if V is not None:
-                seen.append(fair_lra_cost(data, V))
-            return V
-
-        binary_search_fair_lra(data, 2, 0.15, oracle=oracle)
-        best_so_far = np.minimum.accumulate(seen)
-        assert len(seen) >= 1
-        assert np.all(np.diff(best_so_far) <= 1e-12)
-
-    def test_failing_oracle_falls_back_to_baseline(self):
-        data = synthetic_pair()
-        sol = binary_search_fair_lra(data, 2, 0.2, oracle=lambda alpha: None)
-        assert np.array_equal(sol.v_tilde, svd_baseline(data, 2))
-        assert sol.cost == pytest.approx(fair_lra_cost(data, svd_baseline(data, 2)))
-
     def test_lower_bound_certificate(self):
         rng = np.random.default_rng(9)
         for seed in range(5):
