@@ -5,9 +5,12 @@ one feature dimension. Groups are kept as separate arrays so per-group costs
 need no row-offset arithmetic. The Frobenius objectives (low-rank
 approximation and column selection) see a group only through its Gram
 matrix, so they run on each group's thin-QR factor R_i, computed once per
-grouped matrix: ||A_i - A_i P||_F = ||R_i - R_i P||_F for every P. L2 regression
-sees a group only through the R factor of [A_i b_i], since
-||A_i x - b_i|| = ||R_i [x; -1]||, computed once per (data, labels) pair by
+grouped matrix: ||A_i - A_i P||_F = ||R_i - R_i P||_F for every P. The factors
+are held as one zero-padded (ell, d, d) stack, so a cost over every group is
+one batched numpy call, and each group's spectrum, read off one batched SVD
+of that stack, is cached as ``tail_energies``. L2 regression sees a group
+only through the R factor of [A_i b_i], since ||A_i x - b_i|| = ||R_i [x; -1]||,
+held in the same padded layout and computed once per (data, labels) pair by
 ``GroupedLabels.augmented_r``. Only the L1 objective, which is not
 rotation-invariant, the feasibility exports and the reported per-group costs
 read the raw rows; ``stacked`` provides their vertical concatenation.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,15 +34,36 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _r_stack(blocks: Iterable, count: int, width: int) -> np.ndarray:
+    """Read-only (count, width, width) stack of the blocks' thin-QR R factors.
+
+    Block i has ``width`` columns; its R, min(rows, width) x width, fills the
+    top rows of slot i and zeros fill the rows below, which leaves its Gram
+    matrix, and so every Frobenius cost and singular value, unchanged.
+    """
+    R = np.zeros((count, width, width))
+    for i, block in enumerate(blocks):
+        f = np.linalg.qr(block, mode="r")
+        R[i, : f.shape[0]] = f
+    R.flags.writeable = False
+    return R
+
+
 @dataclass(frozen=True)
 class GroupedMatrix:
     """Per-group observation matrices A_1..A_ell with d shared columns.
 
-    ``r_factors`` and ``stacked_r`` are computed on first use and cached on the
-    instance: ``r_factors[i]`` is the R of the thin QR of A_i (min(n_i, d) x d)
-    and ``stacked_r`` the R of the stacked R_i, which is also an R factor of
-    the stacked rows. Each has the Gram matrix of what it stands for, so every
-    Frobenius cost, projection and Gaussian sketch law is the same on it.
+    ``r_factors``, ``stacked_r`` and ``tail_energies`` are computed on first
+    use and cached on the instance. ``r_factors`` is one read-only (ell, d, d)
+    array: slot i holds the R of the thin QR of A_i in its top min(n_i, d)
+    rows and zeros below. ``stacked_r`` is the R of the stacked R_i, each taken
+    up to its last nonzero row (an all-zero one with its min(n_i, d) rows), and
+    is also an R factor of the stacked rows. ``tail_energies[i, t]`` is group
+    i's squared energy beyond its best rank-t fit, from one batched SVD of
+    ``r_factors``: a read-only ell x (d + 1) array whose column 0 holds each
+    ||A_i||_F^2 and whose column d is zero. Each factor has the Gram matrix of
+    what it stands for, so every Frobenius cost, projection, singular value
+    and Gaussian sketch law is the same on it.
 
     The groups are held by reference, as read-only views of the caller's
     arrays, so the cached factors go stale if those arrays change: build a
@@ -91,12 +115,25 @@ class GroupedMatrix:
         return np.vstack(self.groups)
 
     @cached_property
-    def r_factors(self) -> tuple:
-        return tuple(np.linalg.qr(g, mode="r") for g in self.groups)
+    def r_factors(self) -> np.ndarray:
+        return _r_stack(self.groups, self.ell, self.d)
 
     @cached_property
     def stacked_r(self) -> np.ndarray:
-        return np.linalg.qr(np.vstack(self.r_factors), mode="r")
+        # each R_i up to its last nonzero row, so the padding never widens the sketch
+        R, d = self.r_factors, self.d
+        nonzero = R.any(axis=2)
+        rows = np.where(nonzero.any(axis=1), d - np.argmax(nonzero[:, ::-1], axis=1),
+                        np.minimum([g.shape[0] for g in self.groups], d))
+        return np.linalg.qr(R[np.arange(d) < rows[:, None]], mode="r")
+
+    @cached_property
+    def tail_energies(self) -> np.ndarray:
+        s = np.linalg.svd(self.r_factors, compute_uv=False)
+        tails = np.zeros((self.ell, self.d + 1))
+        tails[:, : self.d] = np.cumsum(s[:, ::-1] ** 2, axis=1)[:, ::-1]
+        tails.flags.writeable = False
+        return tails
 
 
 @dataclass(frozen=True)
@@ -141,11 +178,8 @@ class GroupedLabels:
         cached_data, R = getattr(self, "_augmented", (None, None))
         if cached_data is not data:
             self.validate_against(data)
-            R = np.zeros((data.ell, data.d + 1, data.d + 1))
-            for i, (A, b) in enumerate(zip(data.groups, self.targets)):
-                f = np.linalg.qr(np.column_stack([A, b]), mode="r")
-                R[i, : f.shape[0]] = f
-            R.flags.writeable = False
+            blocks = (np.column_stack([A, b]) for A, b in zip(data.groups, self.targets))
+            R = _r_stack(blocks, data.ell, data.d + 1)
             object.__setattr__(self, "_augmented", (data, R))
         return R
 
@@ -155,11 +189,9 @@ def fair_lra_group_costs(data: GroupedMatrix, V, squared: bool = False) -> np.nd
     V = as_matrix(V, "V")
     if V.shape[1] != data.d:
         raise ValueError(f"V has {V.shape[1]} columns, data has {data.d}")
-    W = pseudoinverse(V)
-    out = np.empty(data.ell)
-    for i, R in enumerate(data.r_factors):
-        E = R - (R @ W) @ V
-        out[i] = float(np.sum(E * E))
+    R = data.r_factors
+    E = R - (R @ pseudoinverse(V)) @ V
+    out = np.sum(E * E, axis=(1, 2))
     return out if squared else np.sqrt(out)
 
 
@@ -182,13 +214,12 @@ def fair_css_cost(data: GroupedMatrix, indices, factors) -> float:
     factors = [as_matrix(M, f"factor {i}") for i, M in enumerate(factors)]
     if len(factors) != data.ell:
         raise ValueError(f"{len(factors)} factors for {data.ell} groups")
-    worst = 0.0
-    for R, M in zip(data.r_factors, factors):
+    for M in factors:
         if M.shape != (idx.size, data.d):
             raise ValueError(f"factor shape {M.shape}, expected {(idx.size, data.d)}")
-        E = R[:, idx] @ M - R
-        worst = max(worst, float(np.sum(E * E)))
-    return float(np.sqrt(worst))
+    R = data.r_factors
+    E = R[:, :, idx] @ np.stack(factors) - R
+    return float(np.sqrt(np.sum(E * E, axis=(1, 2)).max()))
 
 
 def fair_regression_group_costs(

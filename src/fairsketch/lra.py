@@ -1,9 +1,12 @@
 """Min-max fair low-rank approximation.
 
 Every solver here sees the data only through the cached thin-QR factors of
-``GroupedMatrix`` (``r_factors`` per group, ``stacked_r`` for the stack), so
-after one O(n d^2) reduction per grouped matrix a solve costs O(ell d^3),
-independent of the row count n. Three solvers share this module:
+``GroupedMatrix`` (``r_factors``, the zero-padded (ell, d, d) stack of
+per-group factors, and ``stacked_r`` for the stacked rows), so after one
+O(n d^2) reduction per grouped matrix a solve costs O(ell d^3), independent
+of the row count n, and touches every group in batched numpy calls. The
+Eckart-Young bound reads the cached per-group spectrum ``tail_energies``.
+Three solvers share this module:
 
 * ``svd_baseline`` -- the standard (group-blind) top-k right singular factor
   of the stacked data, the comparison point for everything else.
@@ -202,13 +205,14 @@ def alternating_feasibility(
     if alpha < 0:
         return None
     alpha_sq = float(alpha) ** 2
-    covs = [R.T @ R for R in data.r_factors]
-    totals = np.array([float(np.sum(R * R)) for R in data.r_factors])
+    R = data.r_factors
+    covs = np.swapaxes(R, 1, 2) @ R
+    totals = np.sum(R * R, axis=(1, 2))
     scale = float(totals.max())
     beta = 10.0 / max(alpha_sq, 1e-12 * max(scale, 1.0))
 
     def costs_sq(Q: np.ndarray) -> np.ndarray:
-        return totals - np.array([np.einsum("ij,jk,ik->", Q, C, Q) for C in covs])
+        return totals - np.einsum("lij,ij->l", Q @ covs, Q)
 
     V = svd_baseline(data, k)
     best_V, best_cost = V, float(costs_sq(V).max())
@@ -226,8 +230,7 @@ def alternating_feasibility(
             return best_V
         w = np.exp(beta * (c - m))
         w /= w.sum()
-        weighted = np.vstack([math.sqrt(wi) * R for wi, R in zip(w, data.r_factors)])
-        V_next = best_rank_k(weighted, k)
+        V_next = best_rank_k((np.sqrt(w)[:, None, None] * R).reshape(-1, data.d), k)
         if np.allclose(V_next @ V.T @ V @ V_next.T, np.eye(k), atol=1e-12):
             break  # same subspace; the closed-form step has stalled
         V = V_next
@@ -247,7 +250,7 @@ def alternating_feasibility(
                 return best_V
             w = np.exp(beta * (c - m))
             w /= w.sum()
-            M = sum(wi * C for wi, C in zip(w, covs))
+            M = np.tensordot(w, covs, axes=1)
             G = Q @ M
             T = G - (G @ Q.T) @ Q
             nrm = float(np.linalg.norm(T))
@@ -266,7 +269,8 @@ def binary_search_fair_lra(data: GroupedMatrix, k: int, eps: float, seed: int = 
     Starts from the stacked-SVD baseline cost alpha0, which any shared factor
     can match, and divides by (1 + eps) while ``alternating_feasibility``,
     with per-call derived seeds, keeps producing factors; stops at the first
-    failure or at the floor 1e-9 * alpha0. The baseline is the best factor
+    failure or after ceil(log(1e9) / log1p(eps)) calls, by which the
+    threshold has shrunk about 1e9-fold. The baseline is the best factor
     until a cheaper one turns up, so it is returned when none does.
     """
     if not 0.0 < eps < 1.0:
@@ -274,9 +278,7 @@ def binary_search_fair_lra(data: GroupedMatrix, k: int, eps: float, seed: int = 
     best_V = svd_baseline(data, k)
     alpha = best_cost = fair_lra_cost(data, best_V)
     if alpha > 0.0:
-        floor = 1e-9 * alpha
-        max_calls = math.ceil(math.log(alpha / floor) / math.log1p(eps))
-        for call in range(max_calls):
+        for call in range(math.ceil(math.log(1e9) / math.log1p(eps))):
             V = alternating_feasibility(data, k, alpha, seed=seed + 7919 * call)
             if V is None:
                 break
@@ -284,8 +286,6 @@ def binary_search_fair_lra(data: GroupedMatrix, k: int, eps: float, seed: int = 
             if cost < best_cost:
                 best_cost, best_V = cost, V
             alpha /= 1.0 + eps
-            if alpha < floor:
-                break
     return FairLraSolution(v_tilde=best_V, t=numerical_rank(best_V), cost=best_cost, t_rows=0, p=0.0)
 
 
@@ -293,11 +293,7 @@ def eckart_young_lower_bound(data: GroupedMatrix, k: int) -> float:
     """max_i (group-i tail energy past rank k): a certified fair-cost lower bound.
 
     Any shared rank-k factor serves each group no better than that group's own
-    optimal factor, so no fair solution can cost less. R_i has the singular
-    values of A_i.
+    optimal factor, so no fair solution can cost less. Read from the cached
+    ``data.tail_energies``; a k at or above d gives 0.
     """
-    worst = 0.0
-    for R in data.r_factors:
-        s = np.linalg.svd(R, compute_uv=False)
-        worst = max(worst, float(np.sum(s[k:] ** 2)))
-    return math.sqrt(worst)
+    return math.sqrt(float(data.tail_energies[:, min(k, data.d)].max()))

@@ -121,6 +121,21 @@ class TestRFactorReduction:
         binary_search_fair_lra(data, 2, 0.5, seed=4)
         assert calls == {"qr": data.ell + 1}
 
+    def test_one_batched_svd_per_grouped_matrix(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        shapes, svd = [], np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        for sizes in ((40, 3, 25), (2, 9)):
+            data = GroupedMatrix.from_arrays([rng.standard_normal((n, 5)) for n in sizes])
+            for k in range(1, data.d + 1):
+                eckart_young_lower_bound(data, k)
+        assert shapes == [(3, 5, 5), (2, 5, 5)]
+
     def test_sketch_is_as_wide_as_the_features(self, monkeypatch):
         rng = np.random.default_rng(13)
         data = GroupedMatrix.from_arrays([rng.standard_normal((n, 7)) for n in (3000, 2000)])
@@ -171,6 +186,19 @@ class TestBinarySearch:
         data = GroupedMatrix.from_arrays((np.zeros((3, 4)),))
         sol = binary_search_fair_lra(data, 1, 0.25)
         assert sol.cost == 0.0
+
+    @pytest.mark.parametrize("eps, calls", [(0.05, 425), (0.1, 218), (0.3, 79), (0.5, 52), (0.9, 33)])
+    def test_always_feasible_runs_until_the_threshold_shrinks_1e9_fold(self, monkeypatch, eps, calls):
+        thresholds = []
+
+        def always_feasible(data, k, alpha, seed=0):
+            thresholds.append(alpha)
+            return svd_baseline(data, k)
+
+        monkeypatch.setattr(lra, "alternating_feasibility", always_feasible)
+        binary_search_fair_lra(synthetic_pair(), 2, eps)
+        assert len(thresholds) == calls == math.ceil(math.log(1e9) / math.log1p(eps))
+        assert thresholds[-1] >= 1e-9 * thresholds[0] > thresholds[-1] / (1 + eps)
 
     def test_golden_pair_beats_baseline(self):
         data = synthetic_pair()

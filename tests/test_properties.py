@@ -128,6 +128,44 @@ def test_r_factor_reduction(inst):
                                rtol=RTOL, atol=RTOL * scale)
 
 
+@st.composite
+def ragged_groups(draw):
+    """Groups with fewer, as many and more rows than d, some rank-deficient or all-zero."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 2 * d + 1))
+        rank = draw(st.integers(0, min(n, d)))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        groups.append(scale * rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d)))
+    return groups
+
+
+@SETTINGS
+@given(ragged_groups())
+def test_r_factor_stack_and_tail_energies(groups):
+    data = GroupedMatrix.from_arrays(groups)
+    d, R = data.d, data.r_factors
+    assert R.shape == (data.ell, d, d) and not R.flags.writeable
+    assert np.array_equal(R, np.triu(R))
+    refs = [np.linalg.qr(g, mode="r") for g in groups]
+    for factor, ref in zip(R, refs):
+        assert np.array_equal(factor[: ref.shape[0]], ref)
+        assert not np.any(factor[ref.shape[0]:])
+    if all(np.all(np.any(ref, axis=1)) for ref in refs):
+        assert np.array_equal(data.stacked_r, np.linalg.qr(np.vstack(refs), mode="r"))
+
+    tails = data.tail_energies
+    assert tails.shape == (data.ell, d + 1) and not tails.flags.writeable
+    energies = np.array([np.sum(g * g) for g in groups])
+    np.testing.assert_allclose(tails[:, 0], energies, rtol=1e-9)
+    assert np.all(np.diff(tails, axis=1) <= 0.0)
+    for tail, g, energy in zip(tails, groups, energies):
+        ev = np.clip(np.linalg.eigvalsh(g.T @ g), 0.0, None)  # ascending, so its cumsum is the tail
+        np.testing.assert_allclose(tail[:d], np.cumsum(ev)[::-1], rtol=1e-9, atol=1e-9 * energy)
+
+
 @SETTINGS
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_solvers_see_only_the_r_factors(inst, seed):
