@@ -26,7 +26,7 @@ from .experiments import (
     run_proof_of_concept,
     run_synthetic_lra,
 )
-from .grouped import fair_lra_cost
+from .grouped import fair_lra_cost, fair_regression_group_costs
 from .linalg import NumericError
 from .lra import BicriteriaConfig, bicriteria_fair_lra, svd_baseline
 from .regression import (
@@ -55,11 +55,9 @@ def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     default = {f.name: f.default for f in dataclasses.fields(BicriteriaConfig)}
     p.add_argument("--k", type=int, default=2, help="rank / column parameter")
-    p.add_argument("--p", type=float, help="Lewis sampling exponent override")
-    p.add_argument("--c", type=float, default=default["c"], help="trade-off parameter in (0,1)")
+    p.add_argument("--p", type=float, help="sketch exponent (default max(1, round(ln(groups) / 2)))")
     p.add_argument("--g-rows", type=int, default=default["g_rows"])
     p.add_argument("--h-cols", type=int, default=default["h_cols"])
-    p.add_argument("--lewis-iters", type=int, default=default["lewis_iterations"])
     p.add_argument("--lewis-samples", type=int, help="row budget of the Lewis sampler (default k)")
     p.add_argument("--squared", action="store_true", help="report squared costs")
 
@@ -84,8 +82,8 @@ def _ingest(args) -> tuple:
 
 def _config(args) -> BicriteriaConfig:
     return BicriteriaConfig(
-        k=args.k, c=args.c, p=args.p, g_rows=args.g_rows, h_cols=args.h_cols,
-        lewis_iterations=args.lewis_iters, lewis_samples=args.lewis_samples, seed=args.seed,
+        k=args.k, p=args.p, g_rows=args.g_rows, h_cols=args.h_cols,
+        lewis_samples=args.lewis_samples, seed=args.seed,
     )
 
 
@@ -103,7 +101,7 @@ def _cmd_lra(args) -> int:
         return EXIT_OK
     sol = bicriteria_fair_lra(data, _config(args))
     base = svd_baseline(data, args.k)
-    bic = fair_lra_cost(data, sol.v_tilde, squared=args.squared)
+    bic = sol.cost ** 2 if args.squared else sol.cost
     ref = fair_lra_cost(data, base, squared=args.squared)
     print(f"bicriteria cost: {bic:.6g} (rank {sol.t})")
     print(f"baseline cost:   {ref:.6g} (rank {args.k})")
@@ -141,12 +139,16 @@ def _cmd_regress(args) -> int:
         sol = minmax_subgradient(data, targets, norm=args.norm, eps=args.eps)
     else:
         sol = binary_search_fair_regression(data, targets, norm=args.norm, eps=args.eps)
+    # the stacked fit is an L2 solve; its costs are reported in the requested norm
+    costs = sol.per_group_costs
+    if sol.norm != args.norm:
+        costs = fair_regression_group_costs(data, targets, sol.x, args.norm)
     np.set_printoptions(precision=6, suppress=True)
-    print(f"method: {sol.method} ({sol.norm}), iterations: {sol.iterations}")
+    print(f"method: {sol.method} ({args.norm}), iterations: {sol.iterations}")
     print(f"x: {sol.x}")
-    for lbl, cst in zip(data.labels, sol.per_group_costs):
+    for lbl, cst in zip(data.labels, costs):
         print(f"group {lbl}: cost {cst:.6g}")
-    print(f"max cost: {sol.max_cost:.6g}")
+    print(f"max cost: {costs.max():.6g}")
     if math.isfinite(sol.gap):
         print(f"certified lower bound: {sol.max_cost - sol.gap:.6g}")
     return EXIT_OK

@@ -3,9 +3,10 @@
 The bicriteria selector reuses the fair low-rank factor as a surrogate right
 factor: columns whose leverage within that factor is high are the columns
 worth keeping. Sampling by those column leverage scores (capped at a
-k * log k budget) yields the selected set; the reconstruction factors come
-from restricting the factor's projector to the kept columns, with an
-optional per-group least-squares refit that can only reduce cost.
+ceil(k * ln(k + 1)) column budget) yields the selected set; the
+reconstruction factors come from restricting the factor's projector to the
+kept columns, with an optional per-group least-squares refit that can only
+reduce cost.
 
 ``brute_force_css`` enumerates every k-subset and is the desk-scale oracle
 the randomized selector is validated against.
@@ -42,12 +43,17 @@ def css_budget(k: int) -> int:
     return max(1, math.ceil(k * math.log(k + 1.0)))
 
 
+def _refit(data: GroupedMatrix, idx: np.ndarray) -> tuple:
+    """Each group's least-squares factor onto columns idx, pinv(R_i[:, idx]) R_i."""
+    return tuple(pseudoinverse(R[:, idx]) @ R for R in data.r_factors)
+
+
 def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool = False) -> CssSolution:
     """Randomized bicriteria column selection.
 
     Runs the fair low-rank pipeline, samples columns of the resulting factor
     by their leverage scores (independent inclusion, probability
-    min(1, score * log d)), and caps the draw at ``css_budget(cfg.k)``
+    min(1, score * log2 d)), and caps the draw at ``css_budget(cfg.k)``
     columns, keeping the highest-leverage sampled columns when over budget.
     The draw is ``leverage_sampling_matrix``'s; when it keeps no column, the
     highest-leverage column is selected. With ``refit`` each
@@ -59,7 +65,7 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
     v_tilde = lra_sol.v_tilde
     budget = css_budget(cfg.k)
 
-    if lra_sol.t == 0 or not np.any(v_tilde):
+    if lra_sol.t == 0:
         # degenerate factor: any index set reconstructs the zero data exactly
         idx = np.arange(min(budget, data.d))
         factors = tuple(np.zeros((idx.size, data.d)) for _ in range(data.ell))
@@ -75,7 +81,7 @@ def bicriteria_fair_css(data: GroupedMatrix, cfg: BicriteriaConfig, refit: bool 
         idx = np.sort(idx[top])
 
     if refit:
-        factors = tuple(pseudoinverse(R[:, idx]) @ R for R in data.r_factors)
+        factors = _refit(data, idx)
     else:
         projector_rows = v_tilde[:, idx].T @ v_tilde  # rows idx of V^T V, as V has orthonormal rows
         factors = tuple(projector_rows.copy() for _ in range(data.ell))
@@ -100,7 +106,7 @@ def brute_force_css(data: GroupedMatrix, k: int) -> CssSolution:
     best_cost = math.inf
     for subset in combinations(range(data.d), k):
         idx = np.array(subset, dtype=int)
-        factors = tuple(pseudoinverse(R[:, idx]) @ R for R in data.r_factors)
+        factors = _refit(data, idx)
         cost = fair_css_cost(data, idx, factors)
         if cost < best_cost:
             best_cost, best_idx, best_factors = cost, subset, factors

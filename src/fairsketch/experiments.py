@@ -290,9 +290,8 @@ def run_dataset_lra(data: GroupedMatrix, cfg: BicriteriaConfig, trials: int = 1)
         raise ValueError(f"trials must be >= 1, got {trials}")
     report = ExperimentReport(
         name="dataset",
-        config={"k": cfg.k, "trials": trials, "seed": cfg.seed, "p": cfg.p, "c": cfg.c,
-                "g_rows": cfg.g_rows, "h_cols": cfg.h_cols,
-                "lewis_iterations": cfg.lewis_iterations, "lewis_samples": cfg.lewis_samples},
+        config={"k": cfg.k, "trials": trials, "seed": cfg.seed, "p": cfg.p, "g_rows": cfg.g_rows,
+                "h_cols": cfg.h_cols, "lewis_samples": cfg.lewis_samples},
     )
     _run_cell(report, data, cfg, trials)
     return report
@@ -382,8 +381,7 @@ def run_credit_lra(
     bicriteria factor (row budget k) against the stacked-SVD baseline at
     k=1, p=1. The k-sweep fixes ``CREDIT_K_SWEEP_ROWS`` rows per group and
     permits the bicriteria factor twice the baseline rank (row budget 2k).
-    The sketch keeps ``BicriteriaConfig``'s default dimensions and Lewis
-    iterations.
+    The sketch keeps ``BicriteriaConfig``'s default dimensions.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -400,7 +398,7 @@ def run_credit_lra(
         config={
             "path": spec.path, "s_grid": list(s_grid), "k_grid": list(k_grid),
             "trials": trials, "seed": seed, "s_for_k": CREDIT_K_SWEEP_ROWS,
-            "g_rows": base.g_rows, "h_cols": base.h_cols, "lewis_iterations": base.lewis_iterations,
+            "g_rows": base.g_rows, "h_cols": base.h_cols,
         },
     )
     for cell_idx, s in enumerate(s_grid):

@@ -45,17 +45,16 @@ class BicriteriaConfig:
 
     ``lewis_samples`` is the row budget of the Lewis sampler and therefore
     the rank budget of the returned factor; it defaults to k so the output
-    is directly comparable to the rank-k baseline. ``p`` overrides the
-    default exponent max(1, round(c * log(ell))). ``repeats`` reruns the
-    pipeline and keeps the cheapest solution.
+    is directly comparable to the rank-k baseline. The sketch exponent is
+    ``p`` when given, else max(1, round(ln(ell) / 2)) for ell groups: 1 up to
+    ell = 20 and 2 from ell = 21 to 148. ``repeats`` reruns the pipeline and
+    keeps the cheapest solution.
     """
 
     k: int
-    c: float = 0.5
     p: Optional[float] = None
     g_rows: int = 30
     h_cols: int = 30
-    lewis_iterations: int = 10
     lewis_samples: Optional[int] = None
     seed: int = 0
     repeats: int = 1
@@ -63,12 +62,10 @@ class BicriteriaConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must be in (0, 1), got {self.c}")
         if self.p is not None and self.p < 1:
             raise ValueError(f"p override must be >= 1, got {self.p}")
-        if min(self.g_rows, self.h_cols, self.lewis_iterations) < 1:
-            raise ValueError("sketch dimensions and iteration counts must be >= 1")
+        if min(self.g_rows, self.h_cols) < 1:
+            raise ValueError("sketch dimensions must be >= 1")
         if self.lewis_samples is not None and self.lewis_samples < 1:
             raise ValueError(f"lewis_samples must be >= 1, got {self.lewis_samples}")
         if self.repeats < 1:
@@ -77,7 +74,7 @@ class BicriteriaConfig:
     def exponent(self, ell: int) -> float:
         if self.p is not None:
             return float(self.p)
-        return float(max(1, round(self.c * math.log(max(ell, 2)))))
+        return float(max(1, round(math.log(max(ell, 2)) / 2)))
 
     def sample_count(self) -> int:
         return self.lewis_samples if self.lewis_samples is not None else self.k
@@ -131,7 +128,7 @@ def _pipeline_once(A: np.ndarray, p: float, cfg: BicriteriaConfig, seed: int) ->
     H = dvoretzky_right_embedding(d, cfg.h_cols, p, seeds[1])
     GA = G @ A
     GAH = GA @ H
-    w = lewis_weights(GAH, p, cfg.lewis_iterations)
+    w = lewis_weights(GAH, p)
     sampler = lewis_sampling_matrix(w, cfg.sample_count(), seeds[3])
     sketched_design = sampler.apply(GAH)
     sketched_target = sampler.apply(GA)
@@ -186,7 +183,6 @@ def alternating_feasibility(
     data: GroupedMatrix,
     k: int,
     alpha: float,
-    iters: int = 200,
     seed: int = 0,
 ) -> Optional[np.ndarray]:
     """Heuristic feasibility oracle: find a rank-k factor with cost <= alpha.
@@ -197,11 +193,10 @@ def alternating_feasibility(
     eigenspaces of group-covariance mixtures, it stalls on instances whose
     min-max optimum mixes directions across groups; the remaining budget is
     therefore spent on projected smoothed-max descent over the subspace with
-    annealed random restarts. Returns the first factor meeting the threshold,
-    or None if the budget is exhausted above it.
+    annealed random restarts: at most 25 closed-form rounds, then 4 restarts
+    of 43 descent steps. Returns the first factor meeting the threshold, or
+    None if the budget is exhausted above it.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     if alpha < 0:
         return None
     alpha_sq = float(alpha) ** 2
@@ -219,9 +214,7 @@ def alternating_feasibility(
     if best_cost <= alpha_sq + 1e-12 * max(scale, 1.0):
         return best_V
 
-    rounds = min(25, iters)
-    budget = iters - rounds
-    for _ in range(rounds):
+    for _ in range(25):
         c = costs_sq(V)
         m = float(c.max())
         if m < best_cost:
@@ -236,12 +229,10 @@ def alternating_feasibility(
         V = V_next
 
     rng = np.random.default_rng(seed)
-    restarts = 4
-    per = max(budget // restarts, 1)
-    for r in range(restarts if budget > 0 else 0):
+    for r in range(4):
         init = best_V + (0.05 * 3.0 ** r) * rng.standard_normal(best_V.shape)
         Q = orthonormal_rows(init)
-        for t in range(per):
+        for t in range(43):
             c = costs_sq(Q)
             m = float(c.max())
             if m < best_cost:

@@ -26,7 +26,7 @@ search takes no oracle and no start point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,16 +79,18 @@ class FeasibilityModel:
     norm: str
 
 
-def _solution(data, labels, x, iterations, method, norm) -> RegressionSolution:
+def _solution(data, labels, x, iterations, method, norm, lower) -> RegressionSolution:
+    """The solution at x; ``lower`` is a certified lower bound on the optimum (-inf certifies nothing)."""
     costs = fair_regression_group_costs(data, labels, x, norm)
+    max_cost = float(costs.max())
     return RegressionSolution(
         x=np.asarray(x, dtype=np.float64),
         per_group_costs=costs,
-        max_cost=float(costs.max()),
+        max_cost=max_cost,
         iterations=int(iterations),
         method=method,
         norm=norm,
-        gap=math.inf,
+        gap=max(max_cost - lower, 0.0),
     )
 
 
@@ -103,7 +105,7 @@ def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> Regress
     """
     R = labels.augmented_r(data).reshape(-1, data.d + 1)
     x = pseudoinverse(R[:, : data.d]) @ R[:, data.d]
-    return _solution(data, labels, x, 0, "stacked", "l2")
+    return _solution(data, labels, x, 0, "stacked", "l2", -math.inf)
 
 
 def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, norm: str = "l2"):
@@ -185,8 +187,7 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolutio
     start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
     scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
     if scale <= fit:  # an exact fit: the Newton system would be singular at t = 0
-        sol = _solution(data, labels, start, 0, "barrier", "l2")
-        return replace(sol, gap=sol.max_cost)  # the trivial bound OPT >= 0
+        return _solution(data, labels, start, 0, "barrier", "l2", 0.0)  # the trivial bound OPT >= 0
 
     beta = R[:, :, d] / scale
     lim = delta * col / scale
@@ -249,8 +250,7 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolutio
             break
         tau *= BARRIER_GROWTH
 
-    sol = _solution(data, labels, u * scale / col, steps, "barrier", "l2")
-    return replace(sol, gap=max(sol.max_cost - lower * scale, 0.0))
+    return _solution(data, labels, u * scale / col, steps, "barrier", "l2", lower * scale)
 
 
 def _max_step(a: np.ndarray, da: np.ndarray) -> float:
@@ -332,10 +332,9 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
 
     seed = T @ (MT @ b)  # the stacked least-squares fit, pinv(A) b
     start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
-    scale = max(float(np.abs(A @ start - t).sum()) for A, t in zip(data.groups, labels.targets))
+    scale = fair_regression_cost(data, labels, start, "l1")
     if scale <= fit:  # an exact fit, with no cost to scale by
-        sol = _solution(data, labels, start, 0, "interior-point", "l1")
-        return replace(sol, gap=sol.max_cost)  # the trivial bound OPT >= 0
+        return _solution(data, labels, start, 0, "interior-point", "l1", 0.0)  # the trivial bound OPT >= 0
 
     beta, lim = b / scale, np.full(d, delta / scale)
     # the radius of a ball about 0 that holds a minimiser over all x (see the docstring)
@@ -420,8 +419,7 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
         v, s, z = v + ap * dv, s + ap * ds, z + ad * dz
         steps += 1
 
-    sol = _solution(data, labels, scale * (T @ best), steps, "interior-point", "l1")
-    return replace(sol, gap=max(sol.max_cost - lower * scale, 0.0))
+    return _solution(data, labels, scale * (T @ best), steps, "interior-point", "l1", lower * scale)
 
 
 def minmax_subgradient(
@@ -586,5 +584,4 @@ def binary_search_fair_regression(
     levels = level / (1.0 + eps) ** np.arange(1, cap + 1)
     met = np.count_nonzero(sol.max_cost <= levels * (1.0 + eps / 4.0))
     x = seed if level < sol.max_cost else sol.x
-    out = _solution(data, labels, x, met, "binary-search", norm)
-    return replace(out, gap=max(out.max_cost - (sol.max_cost - sol.gap), 0.0))
+    return _solution(data, labels, x, met, "binary-search", norm, sol.max_cost - sol.gap)

@@ -1,7 +1,7 @@
 """Row sampling by leverage scores and Lp Lewis weights.
 
 Leverage scores measure each row's importance for the column space; sampling
-rows independently with probability min(1, score * log n) and rescaling kept
+rows independently with probability min(1, score * log2 n) and rescaling kept
 rows by 1/sqrt(prob) preserves squared Euclidean norms in expectation. Lewis
 weights generalize leverage scores to Lp and drive the row sampler used to
 compress Lp regression problems. The Lewis iteration takes no SVD: each round,
@@ -88,9 +88,9 @@ def leverage_scores(M) -> LeverageScores:
 
 
 def leverage_sampling_matrix(scores: LeverageScores, seed: int) -> SamplingMatrix:
-    """Independent row sampler with inclusion probability min(1, score * log n).
+    """Independent row sampler with inclusion probability min(1, score * log2 n).
 
-    n is the number of scores. Each row i is kept independently with
+    n is the number of scores, clamped to at least 2. Each row i is kept independently with
     probability p_i and rescaled by 1/sqrt(p_i), so E||S v||^2 = ||v||^2 for
     every vector v. Rows with zero leverage are never kept; rows with full
     leverage are always kept.

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from fairsketch import lra
 from fairsketch.cli import _config, build_parser, main
-from fairsketch.lra import BicriteriaConfig
+from fairsketch.experiments import IngestSpec, ingest_csv
+from fairsketch.grouped import fair_regression_group_costs
+from fairsketch.lra import BicriteriaConfig, bicriteria_fair_lra
+from fairsketch.regression import stacked_least_squares
 
 
 @pytest.fixture
@@ -61,6 +66,46 @@ def test_regress_command(grouped_csv, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "max cost:" in out and "certified lower bound" not in out
+
+
+def test_stacked_regress_reports_the_requested_norm(tmp_path, capsys):
+    path = tmp_path / "two_groups.csv"
+    path.write_text("a,b,grp\n1.0,2.0,x\n2.0,1.0,x\n3.0,5.0,y\n4.0,3.0,y\n")
+    data, labels = ingest_csv(IngestSpec(path=str(path), group_col="grp", label_col="b", feature_cols=["a"]))
+    x = stacked_least_squares(data, labels).x
+    costs = {norm: fair_regression_group_costs(data, labels, x, norm) for norm in ("l1", "l2")}
+    assert f"{costs['l1'].max():.6g}" != f"{costs['l2'].max():.6g}"  # so the prints tell the norms apart
+    for norm, want in costs.items():
+        rc = main(["regress", str(path), "--group-col", "grp", "--features", "a", "--label-col", "b",
+                   "--method", "stacked", "--norm", norm])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"method: stacked ({norm})" in out
+        assert f"group x: cost {want[0]:.6g}" in out and f"group y: cost {want[1]:.6g}" in out
+        assert f"max cost: {want.max():.6g}" in out
+
+
+def test_lra_prints_the_solution_cost(grouped_csv, capsys):
+    data, _ = ingest_csv(IngestSpec(path=grouped_csv, group_col="grp", seed=4))
+    sol = bicriteria_fair_lra(data, BicriteriaConfig(k=1, seed=4))
+    argv = ["lra", grouped_csv, "--group-col", "grp", "--k", "1", "--seed", "4"]
+    for squared in (False, True):
+        rc = main(argv + ["--squared"] * squared)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"bicriteria cost: {sol.cost ** 2 if squared else sol.cost:.6g} (rank {sol.t})" in out
+
+
+@pytest.mark.parametrize("flag", ["--c", "--lewis-iters"])
+@pytest.mark.parametrize("command", ["lra", "css"])
+def test_removed_sketch_flags_are_usage_errors(grouped_csv, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, grouped_csv, "--group-col", "grp", flag, "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert not re.search(rf"{flag}\b", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", ["lra", "css"])

@@ -93,6 +93,27 @@ class TestBicriteria:
         assert best.cost <= a.cost + 1e-12
 
 
+class TestExponentRule:
+    """The sketch exponent is p when given, else max(1, round(ln(ell) / 2))."""
+
+    def test_default_rule(self):
+        for ell in range(1, 201):
+            assert BicriteriaConfig(k=1).exponent(ell) == max(1, round(math.log(ell) / 2)), ell
+        assert {BicriteriaConfig(k=1).exponent(ell) for ell in range(1, 21)} == {1.0}
+        assert {BicriteriaConfig(k=1).exponent(ell) for ell in range(21, 149)} == {2.0}
+        assert {BicriteriaConfig(k=1).exponent(ell) for ell in range(149, 201)} == {3.0}
+
+    def test_explicit_p_wins(self):
+        for ell in (1, 20, 21, 200):
+            assert BicriteriaConfig(k=1, p=3.5).exponent(ell) == 3.5
+            assert BicriteriaConfig(k=1, p=1.0).exponent(ell) == 1.0
+
+    def test_pipeline_reports_the_rule_on_32_groups(self):
+        rng = np.random.default_rng(21)
+        data = GroupedMatrix.from_arrays([rng.standard_normal((4, 6)) for _ in range(32)])
+        assert bicriteria_fair_lra(data, BicriteriaConfig(k=2, seed=3)).p == 2.0
+
+
 class TestRFactorReduction:
     """Every LRA and CSS path reads a group only through its cached R factor."""
 
@@ -155,7 +176,7 @@ class TestAlternatingFeasibility:
         rng = np.random.default_rng(6)
         data = GroupedMatrix.from_arrays((rng.standard_normal((4, 5)), rng.standard_normal((3, 5))))
         alpha = fair_lra_cost(data, svd_baseline(data, 2))
-        V = alternating_feasibility(data, 2, alpha, iters=10, seed=0)
+        V = alternating_feasibility(data, 2, alpha, seed=0)
         assert V is not None
         assert fair_lra_cost(data, V) <= alpha + 1e-9
 
@@ -163,11 +184,11 @@ class TestAlternatingFeasibility:
         rng = np.random.default_rng(7)
         data = GroupedMatrix.from_arrays((rng.standard_normal((4, 5)), rng.standard_normal((4, 5))))
         bound = eckart_young_lower_bound(data, 2)
-        assert alternating_feasibility(data, 2, 0.9 * bound, iters=60, seed=0) is None
+        assert alternating_feasibility(data, 2, 0.9 * bound, seed=0) is None
 
     def test_reaches_mixed_optimum_on_golden_pair(self):
         data = synthetic_pair()
-        V = alternating_feasibility(data, 2, math.sqrt(4.5), iters=200, seed=0)
+        V = alternating_feasibility(data, 2, math.sqrt(4.5), seed=0)
         assert V is not None
         assert fair_lra_cost(data, V, squared=True) <= 4.5
 
