@@ -9,9 +9,11 @@ hence convex, so three complementary routes are provided:
 * ``minmax_subgradient`` -- the direct solver over the box
   [-delta, delta]^d, exact in both norms and returning a certified duality
   gap. L2 is the second-order cone program min t s.t. ||R_i [x; -1]|| <= t
-  on the per-group R factors, solved by a log-barrier Newton method; L1 is
-  a linear program, solved by Mehrotra's primal-dual interior-point method
-  on a (d+1)x(d+1) Schur complement.
+  on the per-group R factors, solved by a log-barrier Newton method; on two
+  groups a safeguarded Newton search on the one-dimensional Lagrange dual
+  runs first and hands over to the barrier only when it cannot finish. L1
+  is a linear program, solved by Mehrotra's primal-dual interior-point
+  method on a (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
   constrained program (L2, threshold on the squared cost), emitted in a
@@ -144,36 +146,34 @@ def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
     return _box_radius(s, float(np.linalg.norm(R[:, :, data.d], axis=1).max()))
 
 
-def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolution:
-    """min t s.t. ||A_i x - b_i|| <= t, |x_j| < delta, by a log-barrier Newton method.
+@dataclass(frozen=True)
+class _ScaledL2:
+    """The L2 problem in the units both of its solvers work in.
 
-    Each group enters only through R_i, the thin-QR factor of [A_i b_i]
-    (zero-padded to d + 1 rows), since ||A_i x - b_i|| = ||R_i [x; -1]||.
-    The stack comes from ``labels.augmented_r(data)``, factored once per
-    (data, labels) pair, so neither a Newton step nor a repeated solve
-    depends on the row counts. Columns are scaled to unit norm and costs to
-    s, the worst-group cost of the start point, the stacked least-squares
-    seed clipped into the box: with x = s u / col, the residual over s is
-    r_i = M_i u - beta_i, where M_i and beta_i are R_i's scaled design and
-    target columns. Each outer step
-    centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
-    box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
-    BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11). A
-    ``delta`` of None is set by ``default_box_radius``, from the same R stack.
-
-    After each centring a dual point certifies a lower bound on the optimum
-    over all x. With w_i = 1/(t^2 - ||r_i||^2), z_i = w_i r_i is moved to the
-    nearest point with sum_i M_i^T z_i = 0; by Cauchy-Schwarz, every u then
-    has max_i ||M_i u - beta_i|| >= sum_i <z_i, M_i u - beta_i> / sum_i
-    max(t w_i, ||z_i||) = -sum_i <z_i, beta_i> / sum_i max(t w_i, ||z_i||).
-    The rounding left in sum_i M_i^T z_i is charged against the box. On the
-    central path the bound is within nu / tau (nu = 2 (ell + d)) of the cost.
-    The run stops once the cost is within ``eps`` of the best bound so far,
-    once nu / tau falls below GAP_FLOOR times the cost, or after
-    ``max_iters`` Newton steps. When the box cuts off every minimiser the
-    gap stays open and the run ends at the floor.
+    Columns are scaled to unit norm and costs to ``scale``, the worst-group
+    cost of ``start``, the stacked least-squares seed clipped into the box:
+    with x = scale u / col, the residual over scale is r_i = M_i u - beta_i,
+    where M_i and beta_i are R_i's scaled design and target columns, and the
+    box |x_j| < delta is |u_j| < lim_j. P is the pseudoinverse of the stacked
+    M_i. ``fit`` is the cost below which the start is an exact fit.
     """
-    d, ell = data.d, data.ell
+
+    M: np.ndarray
+    beta: np.ndarray
+    P: np.ndarray
+    col: np.ndarray
+    lim: np.ndarray
+    start: np.ndarray
+    scale: float
+    fit: float
+
+
+def _scaled_l2(data, labels, delta) -> _ScaledL2:
+    """Column scaling, the clipped start, ``scale`` and the box, from ``labels.augmented_r(data)``.
+
+    A ``delta`` of None is set by ``default_box_radius``, from the same R stack.
+    """
+    d = data.d
     R = labels.augmented_r(data)
     col = np.linalg.norm(R[:, :, :d], axis=(0, 1))
     col[col == 0.0] = 1.0
@@ -183,15 +183,130 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolutio
     bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
     if delta is None:
         delta = default_box_radius(data, labels)
-    fit = 1e-12 * max(bmax, 1.0)
     start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
     scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
-    if scale <= fit:  # an exact fit: the Newton system would be singular at t = 0
-        return _solution(data, labels, start, 0, "barrier", "l2", 0.0)  # the trivial bound OPT >= 0
+    unit = scale if scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
+    return _ScaledL2(M, R[:, :, d] / unit, P, col, delta * col / unit, start, scale, 1e-12 * max(bmax, 1.0))
 
-    beta = R[:, :, d] / scale
-    lim = delta * col / scale
-    u = start * col / scale
+
+def _certified_bound(p: _ScaledL2, r: np.ndarray, lam: np.ndarray, t: float) -> float:
+    """A lower bound on the scaled optimum from the multipliers ``lam`` >= 0 at residuals r.
+
+    z_i = lam_i r_i is moved to the nearest point with sum_i M_i^T z_i = 0;
+    by Cauchy-Schwarz, every u then has max_i ||M_i u - beta_i|| >=
+    sum_i <z_i, M_i u - beta_i> / sum_i max(t lam_i, ||z_i||) =
+    -sum_i <z_i, beta_i> / sum_i max(t lam_i, ||z_i||). The rounding left in
+    sum_i M_i^T z_i is charged against the box. With all z_i zero it
+    certifies only OPT >= 0.
+    """
+    z = lam[:, None] * r
+    z -= (p.P.T @ np.einsum("ijk,ij->k", p.M, z)).reshape(z.shape)
+    residual = np.einsum("ijk,ij->k", p.M, z)  # zero but for rounding
+    weight = float(np.maximum(t * lam, np.linalg.norm(z, axis=1)).sum())
+    return (-float(np.sum(z * p.beta)) - float(p.lim @ np.abs(residual))) / weight if weight > 0.0 else 0.0
+
+
+def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
+    """min max_i ||A_i x - b_i|| over the box: the dual search on two groups, else the barrier.
+
+    When the dual search hands over, the barrier runs on the steps that the
+    search left unspent.
+    """
+    p = _scaled_l2(data, labels, delta)
+    if p.scale <= p.fit:  # an exact fit: the Newton systems would be singular at zero cost
+        return _solution(data, labels, p.start, 0, "barrier", "l2", 0.0)  # the trivial bound OPT >= 0
+    spent = 0
+    if data.ell == 2:
+        sol, spent = _minmax_l2_dual(data, labels, eps, max_iters, p)
+        if sol is not None:
+            return sol
+    return _minmax_l2_barrier(data, labels, eps, max_iters, p, spent)
+
+
+def _minmax_l2_dual(data, labels, eps, max_iters, p: _ScaledL2):
+    """Two groups: a safeguarded Newton search on the Lagrange dual, in ``p``'s units.
+
+    With f_i(u) = ||M_i u - beta_i||^2, min_u max(f_1, f_2) has the concave
+    dual max_{mu in [0, 1]} g(mu), g(mu) = min_u (1 - mu) f_1 + mu f_2, and
+    no duality gap (Boyd & Vandenberghe, *Convex Optimization*, ch. 5). Its
+    minimiser u solves A u = (1 - mu) c_1 + mu c_2 with
+    A = (1 - mu) G_1 + mu G_2, G_i = M_i^T M_i and c_i = M_i^T beta_i; one
+    Cholesky factor of A gives u, g'(mu) = f_2(u) - f_1(u) and
+    g''(mu) = -2 dh^T A^-1 dh with dh = h_2 - h_1, h_i = M_i^T r_i. A bracket
+    on the sign of g' safeguards the Newton steps: when the Newton point
+    leaves it, the search steps to its midpoint. Each iterate is certified by
+    ``_certified_bound`` with lam = (1 - mu, mu); at the dual optimum the
+    bound meets the cost.
+
+    Returns (solution, steps). The search stops as the barrier does: once the
+    best cost is within ``eps`` of the best bound, at a relative gap of
+    GAP_FLOOR, or after ``max_iters`` steps. The solution is None, and the
+    barrier must take over, when u leaves the open box, A is singular, or the
+    bracket collapses before the gap closes.
+    """
+    M, beta = p.M, p.beta
+    G = np.einsum("ijk,ijl->ikl", M, M)
+    c = np.einsum("ijk,ij->ik", M, beta)
+    lo, hi, mu = 0.0, 1.0, 0.5  # u(1/2) is the stacked least-squares seed
+    steps, lower, cost = 0, -math.inf, math.inf
+    while steps < max_iters:
+        steps += 1
+        lam = np.array([1.0 - mu, mu])
+        A = lam[0] * G[0] + lam[1] * G[1]
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return None, steps
+        if L.diagonal().min() ** 2 <= REGULARISE * A.diagonal().max():
+            return None, steps  # singular at working precision
+        u = np.linalg.solve(L.T, np.linalg.solve(L, lam @ c))
+        if not np.all(np.abs(u) < p.lim):
+            return None, steps
+        r = M @ u - beta
+        f = np.sum(r * r, axis=1)
+        worst = math.sqrt(float(f.max()))
+        if worst < cost:
+            cost, best = worst, u
+        lower = max(lower, _certified_bound(p, r, lam, 0.0))
+        if (cost - lower) * p.scale <= eps or cost - lower <= GAP_FLOOR * cost:
+            break
+        slope = float(f[1] - f[0])  # g'(mu)
+        lo, hi = (mu, hi) if slope > 0.0 else (lo, mu)  # mu is now an end of the bracket
+        y = np.linalg.solve(L, np.einsum("jk,j->k", M[1], r[1]) - np.einsum("jk,j->k", M[0], r[0]))
+        bend = 2.0 * float(y @ y)  # -g''(mu)
+        step = mu + slope / bend if bend > 0.0 else math.nan
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < step < hi:
+            return None, steps  # the bracket has collapsed
+        mu = step
+    return _solution(data, labels, best * p.scale / p.col, steps, "dual-newton", "l2", lower * p.scale), steps
+
+
+def _minmax_l2_barrier(data, labels, eps, max_iters, p: _ScaledL2, steps: int) -> RegressionSolution:
+    """min t s.t. ||A_i x - b_i|| <= t, |x_j| < delta, by a log-barrier Newton method.
+
+    Each group enters only through R_i, the thin-QR factor of [A_i b_i]
+    (zero-padded to d + 1 rows), since ||A_i x - b_i|| = ||R_i [x; -1]||.
+    The stack comes from ``labels.augmented_r(data)``, factored once per
+    (data, labels) pair, so neither a Newton step nor a repeated solve
+    depends on the row counts. The run works in ``p``'s scaled units
+    (``_scaled_l2``) and starts from its clipped seed. Each outer step
+    centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
+    box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
+    BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11).
+
+    After each centring ``_certified_bound`` certifies a lower bound on the
+    optimum from the multipliers w_i = 1/(t^2 - ||r_i||^2). On the central
+    path the bound is within nu / tau (nu = 2 (ell + d)) of the cost.
+    The run stops once the cost is within ``eps`` of the best bound so far,
+    once nu / tau falls below GAP_FLOOR times the cost, or once ``steps``,
+    the Newton steps taken plus those already spent by the caller, reaches
+    ``max_iters``. When the box cuts off every minimiser the gap stays open
+    and the run ends at the floor.
+    """
+    d, ell = data.d, data.ell
+    M, beta, lim = p.M, p.beta, p.lim
+    u = p.start * p.col / p.scale
     t = 2.0  # twice the start point's scaled worst-group cost
     nu = 2.0 * (ell + d)
     tau = nu / t
@@ -209,7 +324,7 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolutio
             return math.inf
         return tau * dt - float(np.sum(np.log(q * w)) + np.sum(np.log(slack / box)))
 
-    steps, stalled, lower = 0, False, -math.inf
+    stalled, lower = False, -math.inf
     while True:
         previous = math.inf
         while steps < max_iters and not stalled:
@@ -240,17 +355,13 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, delta) -> RegressionSolutio
                 u, t = u + a * step[:d], t + a * step[d]
         r = M @ u - beta
         w = 1.0 / (t * t - np.sum(r * r, axis=1))
-        z = w[:, None] * r
-        z -= (P.T @ np.einsum("ijk,ij->k", M, z)).reshape(ell, d + 1)
-        residual = np.einsum("ijk,ij->k", M, z)  # zero but for rounding
-        weight = float(np.maximum(t * w, np.linalg.norm(z, axis=1)).sum())
-        lower = max(lower, (-float(np.sum(z * beta)) - float(lim @ np.abs(residual))) / weight)
+        lower = max(lower, _certified_bound(p, r, w, t))
         cost = float(np.sqrt(np.max(np.sum(r * r, axis=1))))
-        if (cost - lower) * scale <= eps or nu / tau <= GAP_FLOOR * t or steps >= max_iters or stalled:
+        if (cost - lower) * p.scale <= eps or nu / tau <= GAP_FLOOR * t or steps >= max_iters or stalled:
             break
         tau *= BARRIER_GROWTH
 
-    return _solution(data, labels, u * scale / col, steps, "barrier", "l2", lower * scale)
+    return _solution(data, labels, u * p.scale / p.col, steps, "barrier", "l2", lower * p.scale)
 
 
 def _max_step(a: np.ndarray, da: np.ndarray) -> float:
@@ -435,9 +546,17 @@ def minmax_subgradient(
     Both norms are solved exactly and return a certified duality gap in
     ``gap``, so that ``max_cost - gap`` is at most the optimum over all x:
 
-    * L2 runs a log-barrier Newton method on the per-group R factors
+    * L2 on two groups runs a Newton search on the one-dimensional dual
+      max_{mu in [0, 1]} min_x (1 - mu) f_1 + mu f_2, f_i the squared group
+      costs (``_minmax_l2_dual``, method "dual-newton"); ``iterations``
+      counts its weighted least-squares solves. When a solve leaves the
+      open box, the weighted Gram matrix is singular, or the search's
+      bracket on mu collapses before the gap closes, it hands the steps it
+      left unspent to the barrier.
+    * L2 on any other number of groups, and after such a hand-over, runs a
+      log-barrier Newton method on the per-group R factors
       (``_minmax_l2_barrier``, method "barrier"); ``iterations`` counts
-      Newton steps.
+      Newton steps, plus the dual search's solves before a hand-over.
     * L1 runs Mehrotra's primal-dual interior-point method on the linear
       program (``_minmax_l1_ipm``, method "interior-point"); ``iterations``
       counts interior-point iterations.
@@ -445,22 +564,24 @@ def minmax_subgradient(
     Each stops once the gap is at most ``eps``, an absolute cost tolerance
     (``binary_search_fair_regression`` reads its ``eps`` as a relative step),
     at a precision floor near a relative gap of 1e-9, or after ``max_iters``
-    iterations. An exact fit inside the box returns at once with none. Both
-    start from the stacked least-squares seed clipped into the box, take no
-    other start point, and keep their iterates strictly inside the box. An
-    unset radius comes from the singular values of the stacked design, as in
-    ``default_box_radius``.
+    iterations in all. An exact fit inside the box returns at once with
+    none. All start from the stacked least-squares seed clipped into the box
+    (the dual search from mu = 1/2, whose solve is that seed), take no other
+    start point, and keep their iterates strictly inside the box. An unset
+    radius comes from the singular values of the stacked design, as in
+    ``default_box_radius``. ``eps`` and ``box_delta`` must be positive and
+    finite.
     """
     labels.validate_against(data)
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if box_delta is not None and box_delta <= 0:
-        raise ValueError(f"box radius must be positive, got {box_delta}")
-    solve = _minmax_l2_barrier if norm == "l2" else _minmax_l1_ipm
+    if box_delta is not None and not (math.isfinite(box_delta) and box_delta > 0):
+        raise ValueError(f"box radius must be positive and finite, got {box_delta}")
+    solve = _minmax_l2 if norm == "l2" else _minmax_l1_ipm
     return solve(data, labels, eps, max_iters, None if box_delta is None else float(box_delta))
 
 
@@ -581,7 +702,8 @@ def binary_search_fair_regression(
     cap = math.ceil(math.log(max(data.ell, 2)) / math.log1p(eps)) + 2
     lowest = level / (1.0 + eps) ** cap
     sol = minmax_subgradient(data, labels, norm=norm, eps=max(1e-9, lowest * eps / 20.0))
-    levels = level / (1.0 + eps) ** np.arange(1, cap + 1)
-    met = np.count_nonzero(sol.max_cost <= levels * (1.0 + eps / 4.0))
+    # the j in [1, cap] with sol.max_cost <= level (1 + eps/4) / (1 + eps)^j, counted in closed form
+    ratio = level * (1.0 + eps / 4.0) / sol.max_cost if sol.max_cost > 0.0 else math.inf
+    met = max(0, math.floor(min(math.log(ratio) / math.log1p(eps), cap))) if ratio > 0.0 else 0
     x = seed if level < sol.max_cost else sol.x
     return _solution(data, labels, x, met, "binary-search", norm, sol.max_cost - sol.gap)

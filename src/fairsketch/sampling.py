@@ -123,6 +123,8 @@ def lewis_weights(M, p: float, iters: int = 10) -> LewisWeights:
     point each weight equals the leverage score w_i^(1 - 2/p) q(w)_i of the
     corresponding row of W^(1/2 - 1/p) A; one more round of q at the returned
     weights gives the maximum deviation from that identity as ``residual``.
+    The rounds stop early at the first one that returns its input to the
+    last bit (for p = 2, the second), whose q is then that residual round's.
 
     Every round adds the ridge 1e-12 * trace/d to the Gram matrix, so
     rank-deficient inputs degrade gracefully instead of failing; a Gram
@@ -138,9 +140,15 @@ def lewis_weights(M, p: float, iters: int = 10) -> LewisWeights:
     expo = 1.0 - 2.0 / p
     theta = min(1.0, 2.0 / p)
     for _ in range(iters):
-        phi = np.maximum(_row_quadratic_forms(M, w, expo), 0.0) ** (p / 2.0)
-        w = phi if theta == 1.0 else _masked_power(w, 1.0 - theta) * phi ** theta
-    tau = _masked_power(w, expo) * _row_quadratic_forms(M, w, expo)
+        q = _row_quadratic_forms(M, w, expo)
+        phi = np.maximum(q, 0.0) ** (p / 2.0)
+        step = phi if theta == 1.0 else _masked_power(w, 1.0 - theta) * phi ** theta
+        if step[0] == w[0] and np.array_equal(step, w):  # the first entry screens most rounds out cheaply
+            break  # a fixed point to the last bit: q is the residual round's q
+        w = step
+    else:
+        q = _row_quadratic_forms(M, w, expo)
+    tau = _masked_power(w, expo) * q
     residual = float(np.max(np.abs(w - tau))) if w.size else 0.0
     return LewisWeights(weights=w, p=float(p), residual=residual)
 

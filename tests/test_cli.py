@@ -164,6 +164,15 @@ def test_usage_error_exit_code(grouped_csv, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+@pytest.mark.parametrize("method", ["subgradient", "binary-search"])
+def test_non_finite_regress_eps_is_usage_error(grouped_csv, capsys, method, eps):
+    rc = main(["regress", grouped_csv, "--group-col", "grp", "--features", "a,b", "--label-col", "y",
+               "--method", method, "--eps", eps])
+    assert rc == 2
+    assert "usage error: eps must be" in capsys.readouterr().err
+
+
 def test_label_among_features_is_usage_error(grouped_csv, capsys):
     # the target as a feature would fit itself exactly
     rc = main(["regress", grouped_csv, "--group-col", "grp", "--features", "a,y",

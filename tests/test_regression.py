@@ -192,7 +192,7 @@ class TestBarrier:
             sol = minmax_subgradient(data, labels, eps=1e-6, box_delta=4.0)
             # a finer grid than criterion 9's: its default is up to 5e-5 above the optimum here
             opt, _ = grid_minmax_regression(groups, targets, radius=4.0, points=301, levels=10, zoom=20)
-            assert sol.method == "barrier" and sol.norm == "l2"
+            assert sol.method in ("barrier", "dual-newton") and sol.norm == "l2"
             assert sol.max_cost - sol.gap <= opt <= sol.max_cost + 1e-6, f"instance {i}"
             assert np.all(np.abs(sol.x) < 4.0), f"instance {i}"
 
@@ -237,6 +237,71 @@ class TestBarrier:
         assert abs(sol.x[0]) < 2.0
         assert sol.max_cost == pytest.approx(10.0, abs=1e-6)
         assert sol.max_cost - sol.gap <= 1.0  # the certificate bounds the optimum over all x
+
+
+def scaled_two_group(rng):
+    """Two groups in d in {1, 2, 3, 5}, each design and target scaled by its own 10^U(-3, 3)."""
+    d = int(rng.choice([1, 2, 3, 5]))
+    groups, targets = random_grouped(rng, 2, d, max_rows=2 * d + 2)
+    s = 10.0 ** rng.uniform(-3.0, 3.0, size=4)
+    return [s[0] * groups[0], s[1] * groups[1]], [s[2] * targets[0], s[3] * targets[1]]
+
+
+class TestDualNewton:
+    """The Newton search on the one-dimensional dual that ``minmax_subgradient(norm="l2")`` runs on two groups."""
+
+    def test_interior_optimum_takes_the_dual_search(self):
+        rng = np.random.default_rng(31)
+        groups = [rng.standard_normal((n, 3)) for n in (20, 12)]
+        targets = [g @ rng.standard_normal(3) + s * rng.standard_normal(g.shape[0]) for g, s in zip(groups, (1.0, 3.0))]
+        data, labels = make(groups, targets)
+        sol = minmax_subgradient(data, labels, eps=1e-6)
+        assert sol.method == "dual-newton" and sol.norm == "l2"
+        assert 0.0 <= sol.gap <= 1e-6
+        assert sol.iterations <= 20
+        barrier = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-9)
+        assert barrier.method == "barrier"  # three groups, the first repeated: the same optimum
+        assert sol.max_cost == pytest.approx(barrier.max_cost, abs=2e-6)
+
+    def test_optimum_outside_the_box_hands_over_to_the_barrier(self):
+        # the instance of TestBarrier.test_iterates_stay_inside_the_box: the first dual point leaves the box
+        data, labels = make([np.array([[1.0]]), np.array([[1.0]])], [np.array([10.0]), np.array([12.0])])
+        assert minmax_subgradient(data, labels, eps=1e-6, box_delta=2.0).method == "barrier"
+
+    def test_three_groups_take_the_barrier(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            sol = minmax_subgradient(*make(*random_grouped(rng, 3, 2, max_rows=6)), eps=1e-6)
+            assert sol.method == "barrier"
+
+    def test_certified_on_scaled_random_instances(self):
+        rng = np.random.default_rng(33)
+        taken = 0
+        for i in range(240):
+            groups, targets = scaled_two_group(rng)
+            eps = float(rng.choice([1e-2, 1e-5, 1e-9]))
+            sol = minmax_subgradient(*make(groups, targets), eps=eps)
+            # a third group repeating the first leaves the optimum and takes the barrier
+            ref = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-13)
+            assert sol.max_cost - sol.gap <= ref.max_cost, f"instance {i}"
+            if sol.method == "dual-newton":
+                taken += 1
+                assert sol.gap <= max(eps, 1e-9 * sol.max_cost), f"instance {i}"
+        assert taken >= 0.9 * 240
+
+    def test_step_budget_holds_through_the_hand_over(self):
+        rng = np.random.default_rng(34)
+        instances = [scaled_two_group(rng) for _ in range(20)]
+        instances.append(([np.array([[1.0]]), np.array([[1.0]])], [np.array([10.0]), np.array([12.0])]))
+        for i, (groups, targets) in enumerate(instances):
+            data, labels = make(groups, targets)
+            box = 2.0 if i == len(instances) - 1 else None
+            opt = minmax_subgradient(data, labels, eps=1e-9, box_delta=box).max_cost
+            for max_iters in (1, 2, 4):
+                sol = minmax_subgradient(data, labels, eps=1e-9, max_iters=max_iters, box_delta=box)
+                assert sol.iterations <= max_iters, f"instance {i}, {max_iters} steps"
+                assert sol.max_cost - sol.gap <= opt, f"instance {i}, {max_iters} steps"
+        assert sol.method == "barrier"  # the last instance hands over after its first step
 
 
 def l1_lp_optimum(groups, targets) -> float:
@@ -411,6 +476,15 @@ def test_certificate_holds_when_the_box_cuts_off_an_exact_fit(norm):
         targets = [rng.standard_normal(3), 1e3 * rng.standard_normal(1)]
         sol = minmax_subgradient(*make(groups, targets), norm=norm, eps=1e-9, box_delta=0.5)
         assert sol.max_cost - sol.gap <= 1e-9 * sol.max_cost, f"seed {seed}"
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("name", ["eps", "box_delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_and_box_must_be_positive_and_finite(norm, name, value):
+    # NaN passed a plain "<= 0" check: eps ran to the precision floor, a box of NaN failed deep inside
+    with pytest.raises(ValueError, match="positive and finite"):
+        minmax_subgradient(*ONE_D, norm=norm, **{name: value})
 
 
 class TestFeasibilityExports:
@@ -591,6 +665,30 @@ class TestBinarySearch:
         assert bound <= minmax_subgradient(data, labels, norm=norm, eps=1e-9).max_cost + rounding
         assert sol.max_cost <= (1.0 + eps) * bound + rounding
         assert sol.iterations <= math.ceil(math.log(ell) / math.log1p(eps)) + 2
+
+    def test_met_levels_match_the_count_over_every_level(self, monkeypatch):
+        # the closed-form count against one over the array of all cap levels, with the solve's cost drawn
+        rng = np.random.default_rng(37)
+        for i in range(200):
+            ell = int(rng.integers(2, 40))
+            data, labels = make(*random_grouped(rng, ell, 1))
+            level = fair_regression_cost(data, labels, stacked_least_squares(data, labels).x)
+            eps = float(10.0 ** rng.uniform(-6.0, -0.01))
+            cost = level * 10.0 ** rng.uniform(-math.log10(ell) - 0.3, 0.1)
+            solved = regression.RegressionSolution(x=np.zeros(1), per_group_costs=np.full(ell, cost), max_cost=cost,
+                                                   iterations=0, method="barrier", norm="l2", gap=0.0)
+            monkeypatch.setattr(regression, "minmax_subgradient", lambda *args, **kwargs: solved)
+            cap = math.ceil(math.log(ell) / math.log1p(eps)) + 2
+            levels = level / (1.0 + eps) ** np.arange(1, cap + 1)
+            met = np.count_nonzero(cost <= levels * (1.0 + eps / 4.0))
+            assert binary_search_fair_regression(data, labels, eps=eps).iterations == met, f"draw {i}"
+
+    def test_tiny_step_returns_a_solution(self):
+        # eps = 1e-300 gives cap ~ 7e299 levels, which no array holds
+        data, labels = ONE_D
+        sol = binary_search_fair_regression(data, labels, eps=1e-300)
+        assert sol.method == "binary-search" and sol.iterations >= 1
+        assert sol.max_cost - sol.gap <= sol.max_cost <= stacked_least_squares(data, labels).max_cost
 
 
 def test_exports_never_emit_double_signs():

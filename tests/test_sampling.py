@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fairsketch import sampling
 from fairsketch.sampling import (
     LewisWeights,
     leverage_sampling_matrix,
@@ -138,6 +139,19 @@ class TestLewisWeights:
             lw = lewis_weights(M, p)
         assert np.all(np.isfinite(lw.weights)) and math.isfinite(lw.residual)
         assert abs(lw.weights.sum() - 23.0) <= 0.05 * 23.0
+
+    def test_p2_stops_at_the_first_round_that_returns_its_input(self, monkeypatch):
+        # for p = 2 the weights never enter the Gram matrix, so round 2 returns round 1's output bit
+        # for bit; the run stops there and reuses that round's quadratic forms for the residual
+        M = np.random.default_rng(13).standard_normal((30, 5))
+        one = lewis_weights(M, 2.0, iters=1)
+        calls = []
+        forms = sampling._row_quadratic_forms
+        monkeypatch.setattr(sampling, "_row_quadratic_forms", lambda *a: calls.append(1) or forms(*a))
+        ten = lewis_weights(M, 2.0)
+        assert len(calls) == 2
+        assert np.array_equal(ten.weights, one.weights)
+        assert ten.residual == one.residual == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
