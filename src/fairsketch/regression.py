@@ -366,8 +366,8 @@ def _minmax_l2_barrier(data, labels, eps, max_iters, p: _ScaledL2, steps: int) -
 
 def _max_step(a: np.ndarray, da: np.ndarray) -> float:
     """Largest alpha in [0, 1] with a + alpha da >= 0, for a > 0."""
-    ratio = np.divide(a, -da, out=np.full_like(a, np.inf), where=da < 0.0)
-    return min(1.0, float(ratio.min()))
+    j = (da / a).argmin()  # the nearest bound, if its da is negative
+    return min(1.0, float(a[j] / -da[j])) if da[j] < 0.0 else 1.0
 
 
 def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
@@ -388,24 +388,33 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
     The problem is the linear program min t over v = (xi, u, t) s.t.
     G v + s = h, s >= 0. Its slack blocks are u - (M xi - beta) and
     u + (M xi - beta) (one per row), t - sum_{G_i} u_j (one per group) and
-    lim - T xi and lim + T xi; z >= 0 are their multipliers. The start is
-    primal feasible, and its multipliers meet every dual equation but the
-    one for xi. Each iteration takes Mehrotra's predictor-corrector step
-    (*On the Implementation of a Primal-Dual Interior Point Method*, 1992):
-    an affine direction, then one aimed at sigma mu with
-    sigma = (mu_aff / mu)^3 plus the affine direction's second-order term.
-    The primal and the dual step each go TO_BOUNDARY of the way to the
-    boundary.
+    lim - T xi and lim + T xi; z >= 0 are their multipliers. s, z and
+    D = z / s are each one vector of these five blocks, read and written
+    block by block through views, so no step concatenates or splits them.
+    The start is primal feasible, and its multipliers meet every dual
+    equation but the one for xi. Each iteration takes Mehrotra's
+    predictor-corrector step (*On the Implementation of a Primal-Dual
+    Interior Point Method*, 1992): an affine direction, then one aimed at
+    sigma mu with sigma = (mu_aff / mu)^3 plus the affine direction's
+    second-order term. The primal and the dual step each go TO_BOUNDARY of
+    the way to the boundary.
 
-    Both directions solve G^T D G dv = r with D = z / s. There the residual
-    bounds u couple only through a diagonal plus one rank-one term per group,
-    so Sherman-Morrison eliminates them (Portnoy & Koenker, *The Gaussian
-    Hare and the Laplacian Tortoise*, 1997). That leaves the (d+1)x(d+1) SPD
+    Both directions solve G^T D G dv = r. Aimed at z ds + s dz = s (x - z),
+    r reads only a = D r_p + x, with r_p the primal residual: z cancels
+    against the dual residual's G^T z. There the residual bounds u
+    couple only through a diagonal plus one rank-one term per group, so
+    Sherman-Morrison eliminates them (Portnoy & Koenker, *The Gaussian Hare
+    and the Laplacian Tortoise*, 1997). That leaves the (d+1)x(d+1) SPD
     matrix K = sum_j omega_j [m_j; 0][m_j; 0]^T + [T^T diag(D_box) T, 0; 0, 0]
     + sum_i gamma_i [g_i; 1][g_i; 1]^T, with m_j the rows of M,
     e = D_1 + D_2, omega = 4 D_1 D_2 / e, g_i = sum_{G_i} ((D_2 - D_1) / e)_j m_j
     and gamma_i = D_3i / (1 + D_3i sum_{G_i} 1 / e_j). An iteration therefore
-    costs one weighted Gram matrix, O(n d^2).
+    costs one weighted Gram matrix, O(n d^2), and eight passes over n x d
+    data: M^T (z_1 - z_2) for the certificate; M times [xi, M^T (z_1 - z_2)]
+    in one product, for costs computed afresh, so that the best iterate is
+    chosen on exact costs, and the certificate's projection; the
+    certificate's A^T y on the raw rows; the g_i; and one M^T and one M
+    product per direction, whose M dx gives both du and ds.
 
     Every iteration certifies a lower bound on the optimum over all x. The
     multiplier difference y = z_2 - z_1, moved to the nearest point with
@@ -426,11 +435,22 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
     b = labels.stacked()
     n = b.size
     rows = [A.shape[0] for A in data.groups]
-    starts, group = np.cumsum([0] + rows[:-1]), np.repeat(np.arange(ell), rows)
+    starts = np.cumsum([0] + rows[:-1])
     blocks = [slice(a, a + k) for a, k in zip(starts, rows)]
+    size = 2 * n + ell + 2 * d
+    cut = [0, n, 2 * n, 2 * n + ell, 2 * n + ell + d, size]  # where each block of s and z starts and ends
+    parts = [slice(a, c) for a, c in zip(cut[:-1], cut[1:])]
 
     def per_group(v):
         return np.add.reduceat(v, starts, axis=-1)
+
+    def spread(v):
+        """Each group's entry of v, once per row of the group."""
+        return np.repeat(v, rows)
+
+    def split(v):
+        """The five blocks of a vector laid out like s, as views."""
+        return [v[p] for p in parts]
 
     sv = svd(data.stacked())  # A = U diag(sigma) V up to RANK_RTOL
     if delta is None:
@@ -451,52 +471,58 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
     # the radius of a ball about 0 that holds a minimiser over all x (see the docstring)
     reach = ell * float(per_group(np.abs(beta)).max()) + float(np.linalg.norm(beta))
     reach = reach / float(sv.sigma[-1]) if sv.rank else 0.0
-    h = np.concatenate([beta, -beta, np.zeros(ell), lim, lim])
-    c = np.zeros(d + n + 1)
-    c[-1] = 1.0
-    cut = np.cumsum([n, n, ell, d])  # where each block of s and z ends
-
-    def G(v):
-        xi, u = v[:d], v[d:-1]
-        r, x = M @ xi, T @ xi
-        return np.concatenate([r - u, -r - u, per_group(u) - v[-1], x, -x])
-
-    def GT(z):
-        z1, z2, z3, zp, zm = np.split(z, cut)
-        return np.concatenate([MT @ (z1 - z2) + T.T @ (zp - zm), z3[group] - z1 - z2, [-z3.sum()]])
 
     # u sits the mean residual above |r|, and t that far above the largest group sum of u. The
     # multipliers satisfy every dual equation but the one for xi: each group's z_3 is
     # inversely proportional to its slack, the z_3 sum to 1 and z_1 = z_2 = z_3 / 2; the box's
     # are the rows' mean s z over their slacks.
     xi = np.append(sv.sigma * (sv.V @ start), null.T @ start) / scale  # T^-1 start / scale
-    r = np.abs(M @ xi - beta)
-    u = r + r.mean()
-    v = np.concatenate([xi, u, [float(per_group(u).max()) + r.mean()]])
-    s = h - G(v)
-    z3 = 1.0 / s[cut[1] : cut[2]]
+    r = M @ xi
+    dev = np.abs(r - beta)
+    u = dev + dev.mean()
+    t = float(per_group(u).max()) + dev.mean()
+    Tx = T @ xi
+    s = np.concatenate([beta - (r - u), (r + u) - beta, t - per_group(u), lim - Tx, lim + Tx])
+    z3 = 1.0 / s[parts[2]]
     z3 /= z3.sum()
-    z = np.concatenate([0.5 * z3[group], 0.5 * z3[group], z3, np.zeros(2 * d)])
-    z[cut[2] :] = float(s[: 2 * n] @ z[: 2 * n]) / (2 * n) / s[cut[2] :]
+    z = np.concatenate([0.5 * spread(z3), 0.5 * spread(z3), z3, np.zeros(2 * d)])
+    z[cut[3] :] = float(s[: 2 * n] @ z[: 2 * n]) / (2 * n) / s[cut[3] :]
 
     lower, steps, cost = 0.0, 0, math.inf
     while True:
-        latest = float(per_group(np.abs(M @ v[:d] - beta)).max())
+        zd = z[:n] - z[n : 2 * n]  # z_1 - z_2
+        mz = MT @ zd
+        Mxz = M @ np.column_stack([xi, mz])  # M xi and M mz in one pass over M
+        rb = Mxz[:, 0] - beta
+        latest = float(per_group(np.abs(rb)).max())
         if latest < cost:
-            cost, best = latest, v[:d]
-        y = z[n : 2 * n] - z[:n]
-        y -= M @ (MT @ y)
+            cost, best = latest, xi
+        y = Mxz[:, 1] - zd  # z_2 - z_1 moved to U^T y = 0
         weight = float(np.maximum.reduceat(np.abs(y), starts).sum())
         if weight > 0.0:
             residual = sum(A.T @ y[rows_i] for A, rows_i in zip(data.groups, blocks))  # A^T y
             lower = max(lower, (float(beta @ y) - reach * float(np.linalg.norm(residual))) / weight)
-        if (cost - lower) * scale <= eps or s @ z <= GAP_FLOOR * v[-1] or steps >= max_iters:
+        gap = float(s @ z)
+        if (cost - lower) * scale <= eps or gap <= GAP_FLOOR * t or steps >= max_iters:
             break
-        rd, rp, D = GT(z) + c, G(v) + s - h, z / s
-        D1, D2, D3, Dp, Dm = np.split(D, cut)
+        s1, s2, s3, sp, sm = split(s)
+        Tx = T @ xi
+        rp = np.empty(size)  # G v + s - h
+        rp1, rp2, rp3, rpp, rpm = split(rp)
+        np.subtract(rb, u, out=rp1)
+        rp1 += s1
+        np.subtract(s2, u, out=rp2)
+        rp2 -= rb
+        rp3[:] = per_group(u) - t + s3
+        rpp[:], rpm[:] = Tx + sp - lim, sm - Tx - lim
+        inv = 1.0 / s
+        D = z * inv
+        Drp = D * rp
+        D1, D2, D3, Dp, Dm = split(D)
         e, f = D1 + D2, D2 - D1
-        gamma = D3 / (1.0 + D3 * per_group(1.0 / e))
-        omega, fe = 4.0 * D1 * D2 / e, f / e
+        ie = 1.0 / e
+        gamma = D3 / (1.0 + D3 * per_group(ie))
+        omega, fe = 4.0 * D1 * D2 * ie, f * ie
         K, g = np.zeros((d + 1, d + 1)), np.empty((d, ell))
         for a in range(0, n, GRAM_ROWS):
             K[:d, :d] += (MT[:, a : a + GRAM_ROWS] * omega[a : a + GRAM_ROWS]) @ M[a : a + GRAM_ROWS]
@@ -509,25 +535,36 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
 
         def solve_u(ru):
             """The u block of G^T D G inverted, group by group, by Sherman-Morrison."""
-            q = ru / e
-            return q - (gamma * per_group(q))[group] / e
+            q = ru * ie
+            return q - spread(gamma * per_group(q)) * ie
 
-        def direction(rc):
-            """(dv, ds, dz) with G^T dz = -rd, G dv + ds = -rp and z ds + s dz = rc."""
-            rv = -rd - GT(D * rp + rc / s)
-            wu = solve_u(rv[d:-1])
-            dxt = np.linalg.solve(K, np.append(rv[:d] - MT @ (f * wu), rv[-1] + D3 @ per_group(wu)))
-            du = solve_u(rv[d:-1] - f * (M @ dxt[:d]) + D3[group] * dxt[d])
-            dv = np.concatenate([dxt[:d], du, dxt[d:]])
-            ds = -rp - G(dv)
-            return dv, ds, rc / s - D * ds
+        def direction(x):
+            """(dx, du, dt, ds, dz) with G^T dz = -(G^T z + c), G dv + ds = -rp and z ds + s dz = s (x - z)."""
+            a = Drp + x  # D rp + (x - z), plus the z that cancels against the dual residual G^T z + c
+            a1, a2, a3, a4, a5 = split(a)
+            ru = a1 + a2 - spread(a3)
+            wu = solve_u(ru)
+            rhs = -(T.T @ (a4 - a5)) - MT @ (a1 - a2 + f * wu)
+            dxt = np.linalg.solve(K, np.append(rhs, a3.sum() - 1.0 + D3 @ per_group(wu)))
+            dx, dt = dxt[:d], float(dxt[d])
+            Mdx, Tdx = M @ dx, T @ dx
+            du = solve_u(ru - f * Mdx + spread(D3 * dt))
+            ds = -rp  # minus G dv, block by block
+            ds1, ds2, ds3, dsp, dsm = split(ds)
+            ds1 += du - Mdx
+            ds2 += du + Mdx
+            ds3 += dt - per_group(du)
+            dsp -= Tdx
+            dsm += Tdx
+            return dx, du, dt, ds, x - z - D * ds
 
-        ds, dz = direction(-s * z)[1:]  # the affine step itself is never taken
-        mu = float(s @ z) / s.size
-        mu_aff = float((s + _max_step(s, ds) * ds) @ (z + _max_step(z, dz) * dz)) / s.size
-        dv, ds, dz = direction((mu_aff / mu) ** 3 * mu - s * z - ds * dz)
+        ds, dz = direction(0.0)[3:]  # aimed at s z = 0; the affine step itself is never taken
+        mu = gap / size
+        mu_aff = float((s + _max_step(s, ds) * ds) @ (z + _max_step(z, dz) * dz)) / size
+        dx, du, dt, ds, dz = direction(((mu_aff / mu) ** 3 * mu - ds * dz) * inv)
         ap, ad = TO_BOUNDARY * _max_step(s, ds), TO_BOUNDARY * _max_step(z, dz)
-        v, s, z = v + ap * dv, s + ap * ds, z + ad * dz
+        xi, u, t = xi + ap * dx, u + ap * du, t + ap * dt
+        s, z = s + ap * ds, z + ad * dz
         steps += 1
 
     return _solution(data, labels, scale * (T @ best), steps, "interior-point", "l1", lower * scale)

@@ -349,6 +349,30 @@ class TestInteriorPoint:
             opt = l1_lp_optimum(groups, targets)
             assert sol.max_cost == pytest.approx(opt, rel=1e-7), f"d = {d}"
             assert sol.max_cost - sol.gap <= opt * (1.0 + 1e-9), f"d = {d}"
+        # long blocks: groups of hundreds of rows, where the per-block steps see more than a few entries
+        for sizes, d in (((300, 200), 8), ((150, 140, 160), 5)):
+            groups = [rng.standard_normal((k, d)) for k in sizes]
+            targets = [g @ rng.standard_normal(d) + rng.laplace(size=g.shape[0]) for g in groups]
+            data, labels = make(groups, targets)
+            sol = minmax_subgradient(data, labels, norm="l1", eps=1e-9)
+            opt = l1_lp_optimum(groups, targets)
+            assert sol.max_cost == pytest.approx(opt, rel=1e-7), f"rows {sizes}"
+            assert sol.max_cost - sol.gap <= opt * (1.0 + 1e-9), f"rows {sizes}"
+
+    @pytest.mark.parametrize("seed, iterations, max_cost", [
+        (5, 13, 477.41662574042243),
+        (6, 13, 493.1893785554205),
+        (7, 13, 434.48941272057885),
+    ])
+    def test_trajectory_is_pinned(self, seed, iterations, max_cost):
+        # a recorded path: rearranging the arithmetic of an iteration must keep it up to rounding
+        rng = np.random.default_rng(seed)
+        groups = [rng.standard_normal((n, 8)) for n in (360, 240)]
+        targets = [g @ rng.standard_normal(8) + rng.laplace(size=g.shape[0]) for g in groups]
+        sol = minmax_subgradient(*make(groups, targets), norm="l1", eps=1e-6)
+        assert abs(sol.iterations - iterations) <= 1
+        assert sol.max_cost == pytest.approx(max_cost, rel=1e-9, abs=0.0)
+        assert 0.0 <= sol.gap <= 1e-6
 
     def test_gap_is_at_most_eps(self):
         rng = np.random.default_rng(12)
