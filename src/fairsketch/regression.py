@@ -8,12 +8,11 @@ hence convex, so three complementary routes are provided:
   min-max optimum, which makes it the standard seed for threshold search.
 * ``minmax_subgradient`` -- the direct solver over the box
   [-delta, delta]^d, exact in both norms and returning a certified duality
-  gap. L2 is the second-order cone program min t s.t. ||R_i [x; -1]|| <= t
-  on the per-group R factors, solved by a log-barrier Newton method; on two
-  groups a safeguarded Newton search on the one-dimensional Lagrange dual
-  runs first and hands over to the barrier only when it cannot finish. L1
-  is a linear program, solved by Mehrotra's primal-dual interior-point
-  method on a (d+1)x(d+1) Schur complement.
+  gap. L2 is solved for every group count by an active-set Newton ascent on
+  its concave Lagrange dual over the simplex of group weights, one weighted
+  least-squares solve on the per-group R factors per step. L1 is a linear
+  program, solved by Mehrotra's primal-dual interior-point method on a
+  (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
   constrained program (L2, threshold on the squared cost), emitted in a
@@ -43,14 +42,11 @@ from .linalg import as_vector, pseudoinverse, svd
 
 DELTA_MIN = 1.0
 DELTA_MAX = 1e6
-BARRIER_GROWTH = 20.0  # tau multiplier per outer barrier step
-NEWTON_TOL = 1e-10  # centring ends when the squared Newton decrement is below this
-FULL_STEP = 0.25  # squared decrement below which Newton steps are taken whole
-INTERIOR = 0.99  # barrier start points are clipped to this fraction of the box
-REGULARISE = 1e-14  # shift of K's diagonal, relative to its largest entry, that keeps its pivots positive late in a run
+INTERIOR = 0.99  # start points are clipped to this fraction of the box
+REGULARISE = 1e-14  # diagonal shift, relative to the top entry, that keeps a singular Newton matrix's pivots positive
 GRAM_ROWS = 512  # rows per block of K's weighted Gram matrix: n x d temporaries fragment the heap
 TO_BOUNDARY = 0.99  # interior-point steps go this fraction of the way to the nearest bound s, z >= 0
-GAP_FLOOR = 1e-9  # below this relative gap the slacks t - ||r_i|| keep too few digits for Newton steps
+GAP_FLOOR = 1e-9  # solves stop at this relative gap: below it the certificates keep too few digits
 
 
 @dataclass(frozen=True)
@@ -148,19 +144,16 @@ def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
 
 @dataclass(frozen=True)
 class _ScaledL2:
-    """The L2 problem in the units both of its solvers work in.
+    """The L2 problem in its solver's units: x = scale u / col, r_i = M_i u - beta_i and the box |u_j| <= lim_j.
 
-    Columns are scaled to unit norm and costs to ``scale``, the worst-group
-    cost of ``start``, the stacked least-squares seed clipped into the box:
-    with x = scale u / col, the residual over scale is r_i = M_i u - beta_i,
-    where M_i and beta_i are R_i's scaled design and target columns, and the
-    box |x_j| < delta is |u_j| < lim_j. P is the pseudoinverse of the stacked
-    M_i. ``fit`` is the cost below which the start is an exact fit.
+    M_i and beta_i are R_i's columns, scaled to unit-norm design columns and to ``scale``, the worst-group
+    cost of ``start``, the stacked seed clipped into the box. U spans the stacked M_i's range, and ``fit``
+    bounds an exact fit's cost.
     """
 
     M: np.ndarray
     beta: np.ndarray
-    P: np.ndarray
+    U: np.ndarray
     col: np.ndarray
     lim: np.ndarray
     start: np.ndarray
@@ -169,199 +162,206 @@ class _ScaledL2:
 
 
 def _scaled_l2(data, labels, delta) -> _ScaledL2:
-    """Column scaling, the clipped start, ``scale`` and the box, from ``labels.augmented_r(data)``.
-
-    A ``delta`` of None is set by ``default_box_radius``, from the same R stack.
-    """
+    """``_ScaledL2`` from ``labels.augmented_r(data)``; a ``delta`` of None is set by ``default_box_radius``."""
     d = data.d
     R = labels.augmented_r(data)
     col = np.linalg.norm(R[:, :, :d], axis=(0, 1))
     col[col == 0.0] = 1.0
     M = R[:, :, :d] / col  # unit-norm design columns
-    P = pseudoinverse(M.reshape(-1, d))
-    seed = P @ R[:, :, d].reshape(-1) / col
+    sv = svd(M.reshape(-1, d))
+    seed = (sv.V.T / sv.sigma) @ sv.U.T @ R[:, :, d].reshape(-1) / col  # pinv(M) b
     bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
     if delta is None:
         delta = default_box_radius(data, labels)
     start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
     scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
     unit = scale if scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
-    return _ScaledL2(M, R[:, :, d] / unit, P, col, delta * col / unit, start, scale, 1e-12 * max(bmax, 1.0))
+    # an exact fit's residual is the rounding of A x - b, about (d + 1) eps ||A||_F ||x|| at most
+    fit = 1e-12 * max(bmax, 1.0) + 4.0 * (d + 1) * np.finfo(float).eps * np.linalg.norm(col) * np.linalg.norm(start)
+    lim = delta * col / unit * (1.0 - 1e-12)  # x = scale u / col rounds to within the box
+    return _ScaledL2(M, R[:, :, d] / unit, sv.U, col, lim, start, scale, fit)
 
 
-def _certified_bound(p: _ScaledL2, r: np.ndarray, lam: np.ndarray, t: float) -> float:
-    """A lower bound on the scaled optimum from the multipliers ``lam`` >= 0 at residuals r.
+def _certified_bound(p: _ScaledL2, r: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
+    """A lower bound on the scaled optimum over all u from multipliers ``lam`` >= 0 at residuals r, f = ||r_i||^2.
 
-    z_i = lam_i r_i is moved to the nearest point with sum_i M_i^T z_i = 0;
-    by Cauchy-Schwarz, every u then has max_i ||M_i u - beta_i|| >=
-    sum_i <z_i, M_i u - beta_i> / sum_i max(t lam_i, ||z_i||) =
-    -sum_i <z_i, beta_i> / sum_i max(t lam_i, ||z_i||). The rounding left in
-    sum_i M_i^T z_i is charged against the box. With all z_i zero it
-    certifies only OPT >= 0.
+    z_i = lam_i r_i is projected off the range of the stacked M_i. Every u'
+    has sum_i <z_i, M_i u' - beta_i> = sum_i <z_i, r_i> + <z, M (u' - u)> <=
+    max_i ||M_i u' - beta_i|| sum_i ||z_i||. At a minimiser u',
+    ||M_i (u' - u)|| <= OPT + ||r_i|| <= c + ||r_i||, c = max_i ||r_i||, so
+    the last term is charged as ||U^T z||, the rounding the projection left,
+    times ||(c + ||r_i||)_i||; neither the box nor beta enters the bound.
     """
-    z = lam[:, None] * r
-    z -= (p.P.T @ np.einsum("ijk,ij->k", p.M, z)).reshape(z.shape)
-    residual = np.einsum("ijk,ij->k", p.M, z)  # zero but for rounding
-    weight = float(np.maximum(t * lam, np.linalg.norm(z, axis=1)).sum())
-    return (-float(np.sum(z * p.beta)) - float(p.lim @ np.abs(residual))) / weight if weight > 0.0 else 0.0
+    z = (lam[:, None] * r).reshape(-1)
+    z -= p.U @ (p.U.T @ z)
+    weight = float(np.sqrt(np.einsum("ij,ij->i", z.reshape(r.shape), z.reshape(r.shape))).sum())
+    reach, left = np.sqrt(f) + math.sqrt(float(f.max())), p.U.T @ z
+    return (float(z @ r.reshape(-1)) - math.sqrt(float(reach @ reach) * float(left @ left))) / weight if weight else 0.0
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Cholesky factor of A, or, while singular, of A shifted by REGULARISE times its top entry, then 100x more."""
+    top, shift = float(A.diagonal().max(initial=0.0)) or 1.0, 0.0
+    for _ in range(8):
+        try:
+            L = np.linalg.cholesky(A + shift * np.eye(len(A)) if shift else A)
+            if not A.size or L.diagonal().min() ** 2 > REGULARISE * top:
+                return L
+        except np.linalg.LinAlgError:
+            pass
+        shift = 100.0 * shift or REGULARISE * top
+    raise np.linalg.LinAlgError("the weighted Gram matrix is not positive semidefinite")
+
+
+def _box_qp(A: np.ndarray, rhs: np.ndarray, lim: np.ndarray, u: np.ndarray):
+    """(u, free mask, L): min u^T A u / 2 - rhs^T u over |u_j| <= lim_j, L A's Cholesky factor on the free u_j.
+
+    A primal active set from ``u`` clipped into the box (Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974): solve on the free coordinates,
+    then fix the first bound crossed on the way, or free a wrong-signed one.
+    """
+    u = np.clip(u, -lim, lim)
+    free = np.abs(u) < lim
+    for _ in range(4 * u.size + 4):  # each pass fixes or frees one coordinate
+        F = np.flatnonzero(free)
+        L = _cholesky(A[np.ix_(F, F)])
+        y = u.copy()
+        y[F] = np.linalg.solve(L.T, np.linalg.solve(L, rhs[F] - A[F][:, ~free] @ u[~free]))
+        out = np.abs(y) > lim
+        if out.any():
+            dy = y - u
+            cross = (np.sign(dy) * lim - u)[out] / dy[out]
+            j = np.flatnonzero(out)[cross.argmin()]
+            u = u + cross.min() * dy
+            u[j], free[j] = math.copysign(lim[j], dy[j]), False
+            continue
+        u = y
+        push = np.where(free, 0.0, (A @ u - rhs) * np.sign(u))  # > 0: leaving the bound lowers the objective
+        j = int(push.argmax())
+        if push[j] <= 1e-12 * float(np.abs(A[j]) @ np.abs(u) + abs(rhs[j])):
+            break
+        free[j] = True
+    return u, free, L
 
 
 def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
-    """min max_i ||A_i x - b_i|| over the box: the dual search on two groups, else the barrier.
+    """min max_i ||A_i x - b_i|| over the box, by an active-set Newton ascent on its Lagrange dual.
 
-    When the dual search hands over, the barrier runs on the steps that the
-    search left unspent.
+    In ``p``'s units, with f_i(u) = ||M_i u - beta_i||^2, the dual
+    max_lam g(lam) = min_u sum_i lam_i f_i over the simplex (u in the box) is
+    concave with no duality gap (Boyd & Vandenberghe, *Convex Optimization*,
+    ch. 5). u solves A u = sum_i lam_i M_i^T beta_i, A = sum_i lam_i M_i^T M_i,
+    by one Cholesky factor inside the open box, else by ``_box_qp``; then
+    dg/dlam_i = f_i(u), and the Hessian is -2 J^T A^-1 J, J = [M_i^T r_i]_i,
+    on the free coordinates. The ascent starts at uniform lam (u is the
+    stacked seed), or, past d + 1 groups, where that Hessian is singular, at
+    the seed's worst group's vertex. Each step adds the worst group outside
+    the support S if it is worse than all of S, then moves on S's face. On
+    an edge, lam = (1 - mu) e_a + mu e_b, as on two groups, a bracket on
+    g' = f_b - f_a = 0 keeps the Newton steps, else the step is to its
+    midpoint. Larger faces take ``face_step``'s damped Newton step up to the
+    first weight it zeroes, whose group leaves S; a step that g rises along
+    by less than an Armijo fraction is retried with ten times the damping.
+
+    ``_certified_bound`` certifies every solve and meets the cost at the
+    optimum. The ascent stops at a gap of ``eps``, or of GAP_FLOOR relative,
+    after ``max_iters`` solves, or when it stalls (lam stops changing, a
+    bracket collapses, no step rises), as when the box cuts off every
+    minimiser. An exact fit returns at once with the trivial bound.
     """
     p = _scaled_l2(data, labels, delta)
-    if p.scale <= p.fit:  # an exact fit: the Newton systems would be singular at zero cost
-        return _solution(data, labels, p.start, 0, "barrier", "l2", 0.0)  # the trivial bound OPT >= 0
-    spent = 0
-    if data.ell == 2:
-        sol, spent = _minmax_l2_dual(data, labels, eps, max_iters, p)
-        if sol is not None:
-            return sol
-    return _minmax_l2_barrier(data, labels, eps, max_iters, p, spent)
-
-
-def _minmax_l2_dual(data, labels, eps, max_iters, p: _ScaledL2):
-    """Two groups: a safeguarded Newton search on the Lagrange dual, in ``p``'s units.
-
-    With f_i(u) = ||M_i u - beta_i||^2, min_u max(f_1, f_2) has the concave
-    dual max_{mu in [0, 1]} g(mu), g(mu) = min_u (1 - mu) f_1 + mu f_2, and
-    no duality gap (Boyd & Vandenberghe, *Convex Optimization*, ch. 5). Its
-    minimiser u solves A u = (1 - mu) c_1 + mu c_2 with
-    A = (1 - mu) G_1 + mu G_2, G_i = M_i^T M_i and c_i = M_i^T beta_i; one
-    Cholesky factor of A gives u, g'(mu) = f_2(u) - f_1(u) and
-    g''(mu) = -2 dh^T A^-1 dh with dh = h_2 - h_1, h_i = M_i^T r_i. A bracket
-    on the sign of g' safeguards the Newton steps: when the Newton point
-    leaves it, the search steps to its midpoint. Each iterate is certified by
-    ``_certified_bound`` with lam = (1 - mu, mu); at the dual optimum the
-    bound meets the cost.
-
-    Returns (solution, steps). The search stops as the barrier does: once the
-    best cost is within ``eps`` of the best bound, at a relative gap of
-    GAP_FLOOR, or after ``max_iters`` steps. The solution is None, and the
-    barrier must take over, when u leaves the open box, A is singular, or the
-    bracket collapses before the gap closes.
-    """
-    M, beta = p.M, p.beta
+    if p.scale <= p.fit:  # an exact fit: nothing to scale the costs by
+        return _solution(data, labels, p.start, 0, "dual-newton", "l2", 0.0)  # the trivial bound OPT >= 0
+    M, beta, lim = p.M, p.beta, p.lim
+    ell, d = data.ell, data.d
     G = np.einsum("ijk,ijl->ikl", M, M)
     c = np.einsum("ijk,ij->ik", M, beta)
-    lo, hi, mu = 0.0, 1.0, 0.5  # u(1/2) is the stacked least-squares seed
-    steps, lower, cost = 0, -math.inf, math.inf
+
+    def face_step(lam, f, W, S, tau):
+        """(next lam, predicted rise, tau): the Newton step on S's face in the basis e_k - e_s0, W = L^-1 J_S.
+
+        tau damps it towards the projected gradient, more while it would lower the added group's zero weight.
+        """
+        Z, g = W[:, 1:] - W[:, :1], f[S[1:]] - f[S[0]]
+        K = 2.0 * Z.T @ Z
+        scale = float(K.trace()) / len(g)
+        if scale == 0.0:  # the box fixes every coordinate: no curvature, so the projected gradient
+            scale, tau = float(np.abs(g).max()), max(tau, 1.0)
+        for _ in range(20):  # the damping's floor sends directions without curvature to the face's edge
+            theta = np.linalg.lstsq(K + max(tau, 1e-12) * scale * (np.eye(len(g)) + 1.0), g, rcond=None)[0]
+            step = np.zeros(ell)
+            step[S[1:]], step[S[0]] = theta, -theta.sum()
+            if all(lam[i] > 0.0 or step[i] >= 0.0 for i in S):
+                break
+            tau = max(10.0 * tau, 1e-3)
+        down = step < 0.0
+        ratio = lam[down] / -step[down]
+        alpha = min(1.0, float(ratio.min())) if down.any() else 1.0
+        nxt = np.maximum(lam + alpha * step, 0.0)
+        nxt[np.flatnonzero(down)[ratio <= alpha * (1.0 + 1e-9)]] = 0.0  # what the ratio test zeroes, up to rounding
+        return nxt, alpha * float(f @ step), tau
+
+    lam, S = np.full(ell, 1.0 / ell), list(range(ell))
+    if ell > d + 1:  # the Hessian is singular at uniform lam: start at the vertex of the seed's worst group
+        S = [int(np.sum((M @ (p.start * p.col / p.scale) - beta) ** 2, axis=1).argmax())]
+        lam = np.eye(ell)[S[0]]
+    steps, lower, cost = 0, 0.0, math.inf  # every cost is a norm, so OPT >= 0
+    brackets, face, tau = {}, None, 0.0  # a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
-        lam = np.array([1.0 - mu, mu])
-        A = lam[0] * G[0] + lam[1] * G[1]
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            return None, steps
-        if L.diagonal().min() ** 2 <= REGULARISE * A.diagonal().max():
-            return None, steps  # singular at working precision
-        u = np.linalg.solve(L.T, np.linalg.solve(L, lam @ c))
-        if not np.all(np.abs(u) < p.lim):
-            return None, steps
+        # on an edge two terms, not lam @ G, whose other rounding would move the two-group iterates
+        A = lam[S[0]] * G[S[0]] + lam[S[1]] * G[S[1]] if len(S) == 2 else (lam @ G.reshape(ell, -1)).reshape(d, d)
+        rhs = lam @ c
+        L = _cholesky(A)
+        u, free = np.linalg.solve(L.T, np.linalg.solve(L, rhs)), slice(None)  # every coordinate free
+        if not np.all(np.abs(u) < lim):
+            u, free, L = _box_qp(A, rhs, lim, u)
         r = M @ u - beta
         f = np.sum(r * r, axis=1)
         worst = math.sqrt(float(f.max()))
         if worst < cost:
             cost, best = worst, u
-        lower = max(lower, _certified_bound(p, r, lam, 0.0))
+        lower = max(lower, _certified_bound(p, r, f, lam))
         if (cost - lower) * p.scale <= eps or cost - lower <= GAP_FLOOR * cost:
             break
-        slope = float(f[1] - f[0])  # g'(mu)
-        lo, hi = (mu, hi) if slope > 0.0 else (lo, mu)  # mu is now an end of the bracket
-        y = np.linalg.solve(L, np.einsum("jk,j->k", M[1], r[1]) - np.einsum("jk,j->k", M[0], r[0]))
+        if face is not None:  # keep the trial point if g rose enough, else retry with more damping
+            base, g0, fb, W, rise = face
+            if float(lam @ f) - g0 >= 1e-4 * rise:
+                face, tau, S = None, 0.25 * tau, [i for i in S if lam[i] > 0.0]
+            else:
+                lam, rise, tau = face_step(base, fb, W, S, max(10.0 * tau, 1e-3))
+                if not rise > 1e-15 * abs(g0):
+                    break  # no step rises at working precision
+                face = (base, g0, fb, W, rise)
+                continue
+        if len(S) == 2:  # an edge point narrows the edge's bracket on mu, kept for the run: the maximiser stays put
+            a, b = S
+            lo, hi = brackets.get((a, b), (0.0, 1.0))
+            brackets[a, b] = (max(lo, lam[b]), hi) if f[b] > f[a] else (lo, min(lam[b], hi))
+        if len(S) < ell:
+            j = max((i for i in range(ell) if i not in S), key=f.__getitem__)
+            if f[j] > f[S].max():
+                S.append(j)
+        if len(S) >= 3:
+            W = np.linalg.solve(L, np.einsum("ijk,ij->ik", M[S], r[S])[:, free].T)
+            nxt, rise, tau = face_step(lam, f, W, S, tau)
+            if not rise > 0.0 or np.array_equal(nxt, lam):
+                break  # lam no longer changes
+            face, lam = (lam, float(lam @ f), f, W, rise), nxt
+            continue
+        if len(S) == 1:
+            break  # a vertex that no group outside it beats
+        a, b = S
+        lo, hi = brackets.get((a, b), (0.0, 1.0))  # none yet at a vertex that b has just joined
+        y = np.linalg.solve(L, (np.einsum("jk,j->k", M[b], r[b]) - np.einsum("jk,j->k", M[a], r[a]))[free])
         bend = 2.0 * float(y @ y)  # -g''(mu)
-        step = mu + slope / bend if bend > 0.0 else math.nan
-        step = step if lo < step < hi else 0.5 * (lo + hi)
-        if not lo < step < hi:
-            return None, steps  # the bracket has collapsed
-        mu = step
-    return _solution(data, labels, best * p.scale / p.col, steps, "dual-newton", "l2", lower * p.scale), steps
-
-
-def _minmax_l2_barrier(data, labels, eps, max_iters, p: _ScaledL2, steps: int) -> RegressionSolution:
-    """min t s.t. ||A_i x - b_i|| <= t, |x_j| < delta, by a log-barrier Newton method.
-
-    Each group enters only through R_i, the thin-QR factor of [A_i b_i]
-    (zero-padded to d + 1 rows), since ||A_i x - b_i|| = ||R_i [x; -1]||.
-    The stack comes from ``labels.augmented_r(data)``, factored once per
-    (data, labels) pair, so neither a Newton step nor a repeated solve
-    depends on the row counts. The run works in ``p``'s scaled units
-    (``_scaled_l2``) and starts from its clipped seed. Each outer step
-    centres tau t - sum_i log(t^2 - ||r_i||^2) - sum_j log(lim_j^2 - u_j^2), the
-    box |x_j| < delta in u, by damped Newton steps, then multiplies tau by
-    BARRIER_GROWTH (Boyd & Vandenberghe, *Convex Optimization*, ch. 11).
-
-    After each centring ``_certified_bound`` certifies a lower bound on the
-    optimum from the multipliers w_i = 1/(t^2 - ||r_i||^2). On the central
-    path the bound is within nu / tau (nu = 2 (ell + d)) of the cost.
-    The run stops once the cost is within ``eps`` of the best bound so far,
-    once nu / tau falls below GAP_FLOOR times the cost, or once ``steps``,
-    the Newton steps taken plus those already spent by the caller, reaches
-    ``max_iters``. When the box cuts off every minimiser the gap stays open
-    and the run ends at the floor.
-    """
-    d, ell = data.d, data.ell
-    M, beta, lim = p.M, p.beta, p.lim
-    u = p.start * p.col / p.scale
-    t = 2.0  # twice the start point's scaled worst-group cost
-    nu = 2.0 * (ell + d)
-    tau = nu / t
-
-    def rise(du, dt):
-        """Centring objective at (u + du, t + dt) minus its value at (u, t).
-
-        A sum of log ratios against the current slacks 1/w and box, so that
-        it does not cancel against tau * t once tau is large.
-        """
-        un, tn = u + du, t + dt
-        q = tn * tn - np.sum((M @ un - beta) ** 2, axis=1)
-        slack = lim * lim - un * un
-        if tn <= 0.0 or np.any(q <= 0.0) or np.any(slack <= 0.0):
-            return math.inf
-        return tau * dt - float(np.sum(np.log(q * w)) + np.sum(np.log(slack / box)))
-
-    stalled, lower = False, -math.inf
-    while True:
-        previous = math.inf
-        while steps < max_iters and not stalled:
-            r = M @ u - beta
-            w = 1.0 / (t * t - np.sum(r * r, axis=1))
-            m = np.einsum("ijk,ij->ik", M, r)  # M_i^T r_i
-            box = lim * lim - u * u
-            grad = np.append(2.0 * w @ m + 2.0 * u / box, tau - 2.0 * t * w.sum())
-            H = np.empty((d + 1, d + 1))
-            Ws = (M * np.sqrt(2.0 * w)[:, None, None]).reshape(-1, d)
-            H[:d, :d] = Ws.T @ Ws + (m.T * (4.0 * w * w)) @ m + np.diag(2.0 * (lim * lim + u * u) / (box * box))
-            H[:d, d] = H[d, :d] = -4.0 * t * (w * w) @ m
-            H[d, d] = 2.0 * float(w * w @ (t * t + np.sum(r * r, axis=1)))
-            step = np.linalg.solve(H, -grad)
-            decrement = -float(grad @ step)
-            if decrement <= NEWTON_TOL or decrement >= previous:
-                break  # centred, or rounding has overtaken the quadratic convergence
-            # Backtrack on the objective while damped; below FULL_STEP, self-concordance keeps
-            # the whole step feasible, so only feasibility is checked and rounding cannot stall it.
-            target = -0.25 * decrement if decrement > FULL_STEP else math.inf
-            previous = math.inf if decrement > FULL_STEP else decrement
-            a = 1.0
-            while a >= 1e-12 and not rise(a * step[:d], a * step[d]) < a * target:
-                a *= 0.5
-            steps += 1
-            stalled = a < 1e-12  # no descent left at working precision
-            if not stalled:
-                u, t = u + a * step[:d], t + a * step[d]
-        r = M @ u - beta
-        w = 1.0 / (t * t - np.sum(r * r, axis=1))
-        lower = max(lower, _certified_bound(p, r, w, t))
-        cost = float(np.sqrt(np.max(np.sum(r * r, axis=1))))
-        if (cost - lower) * p.scale <= eps or nu / tau <= GAP_FLOOR * t or steps >= max_iters or stalled:
-            break
-        tau *= BARRIER_GROWTH
-
-    return _solution(data, labels, u * p.scale / p.col, steps, "barrier", "l2", lower * p.scale)
+        point = lam[b] + float(f[b] - f[a]) / bend if bend > 0.0 else math.nan
+        point = point if lo < point < hi else 0.5 * (lo + hi)
+        if not lo < point < hi:
+            break  # the bracket has collapsed
+        lam = np.zeros(ell)
+        lam[a], lam[b] = 1.0 - point, point
+    return _solution(data, labels, best * p.scale / p.col, steps, "dual-newton", "l2", lower * p.scale)
 
 
 def _max_step(a: np.ndarray, da: np.ndarray) -> float:
@@ -583,17 +583,12 @@ def minmax_subgradient(
     Both norms are solved exactly and return a certified duality gap in
     ``gap``, so that ``max_cost - gap`` is at most the optimum over all x:
 
-    * L2 on two groups runs a Newton search on the one-dimensional dual
-      max_{mu in [0, 1]} min_x (1 - mu) f_1 + mu f_2, f_i the squared group
-      costs (``_minmax_l2_dual``, method "dual-newton"); ``iterations``
-      counts its weighted least-squares solves. When a solve leaves the
-      open box, the weighted Gram matrix is singular, or the search's
-      bracket on mu collapses before the gap closes, it hands the steps it
-      left unspent to the barrier.
-    * L2 on any other number of groups, and after such a hand-over, runs a
-      log-barrier Newton method on the per-group R factors
-      (``_minmax_l2_barrier``, method "barrier"); ``iterations`` counts
-      Newton steps, plus the dual search's solves before a hand-over.
+    * L2 runs a Newton ascent on the Lagrange dual max_lam min_x
+      sum_i lam_i f_i over the simplex of group weights, f_i the squared
+      group costs (``_minmax_l2``, method "dual-newton"), for every number
+      of groups; on two groups it is a safeguarded Newton search on mu in
+      lam = (1 - mu, mu). ``iterations`` counts its weighted least-squares
+      solves, one per step and one per retried step, each certified.
     * L1 runs Mehrotra's primal-dual interior-point method on the linear
       program (``_minmax_l1_ipm``, method "interior-point"); ``iterations``
       counts interior-point iterations.
@@ -601,11 +596,13 @@ def minmax_subgradient(
     Each stops once the gap is at most ``eps``, an absolute cost tolerance
     (``binary_search_fair_regression`` reads its ``eps`` as a relative step),
     at a precision floor near a relative gap of 1e-9, or after ``max_iters``
-    iterations in all. An exact fit inside the box returns at once with
-    none. All start from the stacked least-squares seed clipped into the box
-    (the dual search from mu = 1/2, whose solve is that seed), take no other
-    start point, and keep their iterates strictly inside the box. An unset
-    radius comes from the singular values of the stacked design, as in
+    iterations in all; L2 also stops when its ascent stalls, which is where
+    it ends when the box cuts off every minimiser and the gap cannot close.
+    An exact fit inside the box returns at once with none. All start from
+    the stacked least-squares seed clipped into the box (the L2 ascent from
+    uniform weights, whose solve is that seed), take no other start point,
+    and keep their iterates strictly inside the box. An unset radius comes
+    from the singular values of the stacked design, as in
     ``default_box_radius``. ``eps`` and ``box_delta`` must be positive and
     finite.
     """

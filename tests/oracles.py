@@ -97,3 +97,39 @@ def random_grouped(rng, ell, d, max_rows=4):
     groups = [rng.standard_normal((int(rng.integers(1, max_rows + 1)), d)) for _ in range(ell)]
     targets = [rng.standard_normal(g.shape[0]) for g in groups]
     return groups, targets
+
+
+def two_group_l2_minmax(groups, targets, tol=1e-12):
+    """Upper bound within ~tol of min_x max(||A_1 x - b_1||, ||A_2 x - b_2||) over all x.
+
+    Golden-section search on mu in [0, 1] for the concave dual
+    g(mu) = min_x (1 - mu) ||A_1 x - b_1||^2 + mu ||A_2 x - b_2||^2, each
+    minimiser from ``np.linalg.lstsq`` on the weighted stack. Returns the
+    smallest worst-group cost among those minimisers, which is never below
+    the optimum.
+    """
+    (A1, A2), (b1, b2) = groups, targets
+
+    def solve(mu):
+        w1, w2 = np.sqrt(1.0 - mu), np.sqrt(mu)
+        x = np.linalg.lstsq(np.vstack([w1 * A1, w2 * A2]), np.concatenate([w1 * b1, w2 * b2]), rcond=None)[0]
+        f1, f2 = np.sum((A1 @ x - b1) ** 2), np.sum((A2 @ x - b2) ** 2)
+        best[0] = min(best[0], np.sqrt(max(f1, f2)))
+        return (1.0 - mu) * f1 + mu * f2
+
+    best = [np.inf]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    ga, gb = solve(a), solve(b)
+    while hi - lo > tol:
+        if ga < gb:
+            lo, a, ga = a, b, gb
+            b = lo + ratio * (hi - lo)
+            gb = solve(b)
+        else:
+            hi, b, gb = b, a, ga
+            a = hi - ratio * (hi - lo)
+            ga = solve(a)
+    solve(0.0), solve(1.0)
+    return float(best[0])

@@ -246,6 +246,22 @@ def test_subsample_below_one_is_usage_error(grouped_csv, capsys, command, size):
     assert f"subsample must be >= 1, got {size}" in err
 
 
+def test_rank_deficient_badly_scaled_regress_runs(tmp_path, capsys):
+    # three rows in R^5 at scales 1e-2 and 1e3: the removed barrier stopped here with "usage error: Singular matrix"
+    rng = np.random.default_rng(3)
+    groups = [1e-2 * rng.standard_normal((2, 5)), 1e3 * rng.standard_normal((1, 5))]
+    targets = [1e2 * rng.standard_normal(2), 1e-2 * rng.standard_normal(1)]
+    lines = ["a,b,c,d,e,grp,y"]
+    for name, A, b in zip("mf", groups, targets):
+        lines += [",".join(map(repr, row.tolist())) + f",{name},{y!r}" for row, y in zip(A, b.tolist())]
+    path = tmp_path / "rank.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["regress", str(path), "--group-col", "grp", "--label-col", "y"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "method: dual-newton (l2)" in out and "certified lower bound" in out
+
+
 def test_byte_order_mark_csv_runs(tmp_path, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfSEX,a,b\n1,1.0,2.0\n2,3.0,1.0\n")

@@ -17,7 +17,7 @@ from fairsketch.regression import (
     minmax_subgradient,
     stacked_least_squares,
 )
-from oracles import grid_minmax_regression, grid_minmax_regression_nd, random_grouped
+from oracles import grid_minmax_regression, grid_minmax_regression_nd, random_grouped, two_group_l2_minmax
 
 
 def make(groups, targets):
@@ -248,7 +248,7 @@ def scaled_two_group(rng):
 
 
 class TestDualNewton:
-    """The Newton search on the one-dimensional dual that ``minmax_subgradient(norm="l2")`` runs on two groups."""
+    """The Newton ascent on the Lagrange dual that ``minmax_subgradient(norm="l2")`` runs for every group count."""
 
     def test_interior_optimum_takes_the_dual_search(self):
         rng = np.random.default_rng(31)
@@ -259,37 +259,33 @@ class TestDualNewton:
         assert sol.method == "dual-newton" and sol.norm == "l2"
         assert 0.0 <= sol.gap <= 1e-6
         assert sol.iterations <= 20
-        barrier = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-9)
-        assert barrier.method == "barrier"  # three groups, the first repeated: the same optimum
-        assert sol.max_cost == pytest.approx(barrier.max_cost, abs=2e-6)
+        assert sol.max_cost == pytest.approx(two_group_l2_minmax(groups, targets), abs=2e-6)
+        repeated = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-9)
+        assert repeated.method == "dual-newton"  # three groups, the first repeated: the same optimum
+        assert repeated.max_cost == pytest.approx(sol.max_cost, abs=2e-6)
 
-    def test_optimum_outside_the_box_hands_over_to_the_barrier(self):
+    def test_optimum_outside_the_box_stays_in_the_dual_search(self):
         # the instance of TestBarrier.test_iterates_stay_inside_the_box: the first dual point leaves the box
         data, labels = make([np.array([[1.0]]), np.array([[1.0]])], [np.array([10.0]), np.array([12.0])])
-        assert minmax_subgradient(data, labels, eps=1e-6, box_delta=2.0).method == "barrier"
+        assert minmax_subgradient(data, labels, eps=1e-6, box_delta=2.0).method == "dual-newton"
 
-    def test_three_groups_take_the_barrier(self):
+    def test_three_groups_take_the_dual_search(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
             sol = minmax_subgradient(*make(*random_grouped(rng, 3, 2, max_rows=6)), eps=1e-6)
-            assert sol.method == "barrier"
+            assert sol.method == "dual-newton"
+            assert 0.0 <= sol.gap <= 1e-6
 
     def test_certified_on_scaled_random_instances(self):
         rng = np.random.default_rng(33)
-        taken = 0
         for i in range(240):
             groups, targets = scaled_two_group(rng)
             eps = float(rng.choice([1e-2, 1e-5, 1e-9]))
             sol = minmax_subgradient(*make(groups, targets), eps=eps)
-            # a third group repeating the first leaves the optimum and takes the barrier
-            ref = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-13)
-            assert sol.max_cost - sol.gap <= ref.max_cost, f"instance {i}"
-            if sol.method == "dual-newton":
-                taken += 1
-                assert sol.gap <= max(eps, 1e-9 * sol.max_cost), f"instance {i}"
-        assert taken >= 0.9 * 240
+            assert sol.max_cost - sol.gap <= two_group_l2_minmax(groups, targets), f"instance {i}"
+            assert sol.method == "dual-newton" and sol.gap <= max(eps, 1e-9 * sol.max_cost), f"instance {i}"
 
-    def test_step_budget_holds_through_the_hand_over(self):
+    def test_step_budget_holds_on_the_box(self):
         rng = np.random.default_rng(34)
         instances = [scaled_two_group(rng) for _ in range(20)]
         instances.append(([np.array([[1.0]]), np.array([[1.0]])], [np.array([10.0]), np.array([12.0])]))
@@ -301,7 +297,94 @@ class TestDualNewton:
                 sol = minmax_subgradient(data, labels, eps=1e-9, max_iters=max_iters, box_delta=box)
                 assert sol.iterations <= max_iters, f"instance {i}, {max_iters} steps"
                 assert sol.max_cost - sol.gap <= opt, f"instance {i}, {max_iters} steps"
-        assert sol.method == "barrier"  # the last instance hands over after its first step
+        assert sol.method == "dual-newton"  # the last instance solves on the box from its first step
+
+
+def planted_groups(rng, ell, d):
+    """ell groups of 40-119 rows in R^d, each with its own design mix, planted coefficients and noise level."""
+    common = rng.standard_normal(d)
+    groups, targets = [], []
+    for _ in range(ell):
+        A = rng.standard_normal((int(rng.integers(40, 120)), d)) @ (np.eye(d) + 0.5 * rng.standard_normal((d, d)))
+        groups.append(A)
+        targets.append(A @ (common + rng.standard_normal(d)) + rng.uniform(0.5, 2.0) * rng.standard_normal(A.shape[0]))
+    return groups, targets
+
+
+class TestManyGroups:
+    """The dual ascent away from two groups: faces of the simplex, vertex starts, badly scaled and huge boxes."""
+
+    @pytest.mark.parametrize("ell, d", [(1, 23), (3, 23), (4, 23), (8, 23), (16, 23), (32, 23), (8, 2)])
+    def test_planted_instances_close(self, ell, d):
+        # (8, 2) has more groups than d + 1, so the ascent starts at a vertex
+        for seed in range(3):
+            groups, targets = planted_groups(np.random.default_rng([seed, ell, d]), ell, d)
+            sol = minmax_subgradient(*make(groups, targets), eps=1e-6)
+            assert sol.method == "dual-newton"
+            assert sol.gap <= 1e-6, f"seed {seed}"
+            assert sol.iterations <= 30, f"seed {seed}"
+
+    def test_huge_box_matches_the_default_box(self):
+        # a box of 1e300 once overflowed the certificate's box charge and left a gap of 4e283
+        rng = np.random.default_rng(31)
+        groups = [rng.standard_normal((n, 3)) for n in (20, 12, 15)]
+        noise = (1.0, 3.0, 2.0)
+        targets = [g @ rng.standard_normal(3) + s * rng.standard_normal(g.shape[0]) for g, s in zip(groups, noise)]
+        data, labels = make(groups, targets)
+        default = minmax_subgradient(data, labels)
+        huge = minmax_subgradient(data, labels, box_delta=1e300)
+        assert huge.max_cost == pytest.approx(default.max_cost, rel=1e-9)
+        assert huge.gap <= 1e-5 and default.gap <= 1e-5
+
+    def test_rank_deficient_badly_scaled_fits_return(self):
+        # three rows in R^5 fit exactly; the scales 1e-2 and 1e3 made the barrier's Newton matrix singular
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            groups = [1e-2 * rng.standard_normal((2, 5)), 1e3 * rng.standard_normal((1, 5))]
+            targets = [1e2 * rng.standard_normal(2), 1e-2 * rng.standard_normal(1)]
+            sol = minmax_subgradient(*make(groups, targets))
+            assert sol.method == "dual-newton" and sol.iterations == 0, f"seed {seed}"  # an exact fit, up to rounding
+            assert 0.0 <= sol.max_cost - sol.gap <= sol.max_cost, f"seed {seed}"
+
+    def test_scaled_random_instances_close(self):
+        # up to six groups of 1 to 2d + 2 rows in d <= 5, each design and target scaled by 10^U(-3, 3), a fifth with
+        # a repeated group: tiny and huge groups, groups with fewer rows than d, optima on faces and at vertices
+        rng = np.random.default_rng(1)
+        for i in range(60):
+            ell, d = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+            groups, targets = random_grouped(rng, ell, d, max_rows=2 * d + 2)
+            s = 10.0 ** rng.uniform(-3.0, 3.0, size=2 * ell) if i % 3 else np.ones(2 * ell)
+            groups, targets = [a * g for a, g in zip(s, groups)], [a * t for a, t in zip(s[ell:], targets)]
+            if i % 5 == 0:
+                groups, targets = groups + [groups[0]], targets + [targets[0]]
+            sol = minmax_subgradient(*make(groups, targets), eps=1e-9)
+            assert sol.gap <= max(1e-9, 1e-9 * sol.max_cost) or sol.iterations == 0, f"instance {i}"
+            assert sol.iterations <= 60, f"instance {i}"
+
+    def test_exactly_fitted_groups_leave_the_support(self):
+        # two one-row groups at scale 1e-4 fit exactly wherever the others are solved: no curvature along their
+        # weights, which the damping floor sends straight to zero (a Hypothesis example of the order property)
+        groups = [np.array([[0.00012573, -0.0001321, 0.00064042]]), np.array([[0.0001049, -0.00053567, 0.0003616]]),
+                  np.array([[1304.00004513, 947.08096313, -703.73523581]]),
+                  np.array([[-1265.42147105, -623.27446254, 41.32597935],
+                            [-2325.03077464, -218.79166393, -1245.91094725],
+                            [-732.2673547, -544.25898286, -316.30015637]])]
+        targets = [np.array([0.00041163]), np.array([0.00104251]), np.array([-128.53466294]),
+                   np.array([1366.46347055, -665.19467349, 351.51007009])]
+        for order in ([0, 1, 2, 3], [2, 1, 0, 3]):
+            sol = minmax_subgradient(*make([groups[i] for i in order], [targets[i] for i in order]), eps=1e-6)
+            assert sol.gap <= 1e-6 and sol.iterations <= 15, f"order {order}"
+            assert sol.max_cost == pytest.approx(889.626257, rel=1e-8)
+
+    def test_repeated_group_ends_at_the_floor(self):
+        # a third group repeating the first at a tolerance below working precision: near-exact fits among them
+        rng = np.random.default_rng(35)
+        for i in range(40):
+            groups, targets = scaled_two_group(rng)
+            sol = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-13)
+            assert sol.iterations <= 100, f"instance {i}"
+            # both sides evaluate one least-squares cost when a group's own fit is optimal: allow its rounding
+            assert sol.max_cost - sol.gap <= two_group_l2_minmax(groups, targets) * (1.0 + 1e-12), f"instance {i}"
 
 
 def l1_lp_optimum(groups, targets) -> float:
