@@ -8,11 +8,12 @@ hence convex, so three complementary routes are provided:
   min-max optimum, which makes it the standard seed for threshold search.
 * ``minmax_subgradient`` -- the direct solver over the box
   [-delta, delta]^d, exact in both norms and returning a certified duality
-  gap. L2 is solved for every group count by an active-set Newton ascent on
-  its concave Lagrange dual over the simplex of group weights, one weighted
-  least-squares solve on the per-group R factors per step. L1 is a linear
-  program, solved by Mehrotra's primal-dual interior-point method on a
-  (d+1)x(d+1) Schur complement.
+  gap. Its default delta, ``default_box_radius``, is proven to hold a
+  minimiser and scales with the data. L2 is solved for every group count by
+  an active-set Newton ascent on its concave Lagrange dual over the simplex
+  of group weights, one weighted least-squares solve on the per-group R
+  factors per step. L1 is a linear program, solved by Mehrotra's primal-dual
+  interior-point method on a (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
   constrained program (L2, threshold on the squared cost), emitted in a
@@ -38,10 +39,8 @@ from .grouped import (
     fair_regression_cost,
     fair_regression_group_costs,
 )
-from .linalg import as_vector, pseudoinverse, svd
+from .linalg import RANK_RTOL, as_vector, pseudoinverse, svd
 
-DELTA_MIN = 1.0
-DELTA_MAX = 1e6
 INTERIOR = 0.99  # start points are clipped to this fraction of the box
 REGULARISE = 1e-14  # diagonal shift, relative to the top entry, that keeps a singular Newton matrix's pivots positive
 GRAM_ROWS = 512  # rows per block of K's weighted Gram matrix: n x d temporaries fragment the heap
@@ -122,24 +121,23 @@ def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, n
     return float(vals[j]), A.T @ (r / vals[j]) if vals[j] > 0.0 else np.zeros(data.d)
 
 
-def _box_radius(s: np.ndarray, bmax: float) -> float:
-    """10 * (bmax / sigma_min + 1), clipped; sigma_min is the least non-negligible of the descending s."""
-    positive = s[s > 1e-12 * (s[0] if s.size else 1.0)]
-    sigma_min = float(positive[-1]) if positive.size else 0.0
-    radius = 10.0 * (bmax / sigma_min + 1.0) if sigma_min > 0.0 else DELTA_MAX
-    return float(np.clip(radius, DELTA_MIN, DELTA_MAX))
+def _radius(sigma: np.ndarray, targets) -> float:
+    """``default_box_radius``'s r* from the stacked design's kept singular values sigma (sigma_min = 1 at rank 0)."""
+    reach = len(targets) * max(float(np.abs(b).sum()) for b in targets) + math.sqrt(sum(float(b @ b) for b in targets))
+    return reach / (float(sigma[-1]) if sigma.size else 1.0)
 
 
 def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
-    """Box radius 10 * (max_i ||b_i|| / sigma_min(stacked A) + 1), clipped.
+    """r* = (ell max_i ||b_i||_1 + ||b||) / sigma_min: a ball about 0 of this radius holds a minimiser in both norms.
 
-    Read from ``labels.augmented_r(data)``: with [A_i b_i] = Q_i R_i, the
-    stack of R_i's design blocks has the stacked design's singular values,
-    and R_i's target column has the norm of b_i.
+    sigma_min is the least singular value above RANK_RTOL sigma_max (the rank ``linalg.svd`` keeps) of the stack
+    of ``labels.augmented_r(data)``'s design blocks, which has the stacked design's singular values. The proof is
+    ``_minmax_l1_ipm``'s: a minimiser lies in A's row space, where ||x|| <= ||A x|| / sigma_min, and there ||A x||
+    is at most ell OPT_1 + ||b|| (in L2, sqrt(ell) OPT_2 + ||b||), and OPT <= max_i ||b_i||_1 at x = 0. r* scales
+    as x does.
     """
-    R = labels.augmented_r(data)
-    s = np.linalg.svd(R[:, :, : data.d].reshape(-1, data.d), compute_uv=False)
-    return _box_radius(s, float(np.linalg.norm(R[:, :, data.d], axis=1).max()))
+    s = np.linalg.svd(labels.augmented_r(data)[:, :, : data.d].reshape(-1, data.d), compute_uv=False)
+    return _radius(s[s > RANK_RTOL * s[0]], labels.targets)
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def _scaled_l2(data, labels, delta) -> _ScaledL2:
     scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
     unit = scale if scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
     # an exact fit's residual is the rounding of A x - b, about (d + 1) eps ||A||_F ||x|| at most
-    fit = 1e-12 * max(bmax, 1.0) + 4.0 * (d + 1) * np.finfo(float).eps * np.linalg.norm(col) * np.linalg.norm(start)
+    fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(col) * np.linalg.norm(start)
     lim = delta * col / unit * (1.0 - 1e-12)  # x = scale u / col rounds to within the box
     return _ScaledL2(M, R[:, :, d] / unit, sv.U, col, lim, start, scale, fit)
 
@@ -190,13 +188,15 @@ def _certified_bound(p: _ScaledL2, r: np.ndarray, f: np.ndarray, lam: np.ndarray
     max_i ||M_i u' - beta_i|| sum_i ||z_i||. At a minimiser u',
     ||M_i (u' - u)|| <= OPT + ||r_i|| <= c + ||r_i||, c = max_i ||r_i||, so
     the last term is charged as ||U^T z||, the rounding the projection left,
-    times ||(c + ||r_i||)_i||; neither the box nor beta enters the bound.
+    times ||(c + ||r_i||)_i||; neither the box nor beta enters the bound. The
+    rounding of sum_i <z_i, r_i> is charged as 4 r.size eps sum_i ||z_i|| ||r_i||.
     """
     z = (lam[:, None] * r).reshape(-1)
     z -= p.U @ (p.U.T @ z)
-    weight = float(np.sqrt(np.einsum("ij,ij->i", z.reshape(r.shape), z.reshape(r.shape))).sum())
-    reach, left = np.sqrt(f) + math.sqrt(float(f.max())), p.U.T @ z
-    return (float(z @ r.reshape(-1)) - math.sqrt(float(reach @ reach) * float(left @ left))) / weight if weight else 0.0
+    norms, root = np.sqrt(np.einsum("ij,ij->i", z.reshape(r.shape), z.reshape(r.shape))), np.sqrt(f)
+    weight, reach, left = float(norms.sum()), root + math.sqrt(float(f.max())), p.U.T @ z
+    zr = float(z @ r.reshape(-1)) - 4.0 * r.size * math.ulp(1.0) * float(norms @ root)
+    return (zr - math.sqrt(float(reach @ reach) * float(left @ left))) / weight if weight else 0.0
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
@@ -375,10 +375,10 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
 
     Costs are divided by ``scale``, the worst-group cost of the start point,
     the stacked least-squares seed clipped into the box: beta = b / scale
-    and lim = delta / scale. A ``delta`` of None is set as in
-    ``default_box_radius``, from the singular values sigma of the one SVD
-    below; since sigma is cut at RANK_RTOL, the radius follows the rank the
-    solver itself uses. The unknowns are xi, with x = scale T xi: T =
+    and lim = delta / scale. ``default_box_radius``'s r*, from the singular
+    values sigma of the one SVD below (cut at RANK_RTOL, as there), is the
+    box when ``delta`` is None and, over ``scale``, the certificate's reach
+    below, whatever the box. The unknowns are xi, with x = scale T xi: T =
     [V^T / sigma, N] comes from the SVD A = U diag(sigma) V and an
     orthonormal basis N of A's null space. Then A x / scale = M xi with
     M = [U 0]. Its orthonormal columns keep the Newton systems as well
@@ -408,13 +408,14 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
     matrix K = sum_j omega_j [m_j; 0][m_j; 0]^T + [T^T diag(D_box) T, 0; 0, 0]
     + sum_i gamma_i [g_i; 1][g_i; 1]^T, with m_j the rows of M,
     e = D_1 + D_2, omega = 4 D_1 D_2 / e, g_i = sum_{G_i} ((D_2 - D_1) / e)_j m_j
-    and gamma_i = D_3i / (1 + D_3i sum_{G_i} 1 / e_j). An iteration therefore
-    costs one weighted Gram matrix, O(n d^2), and eight passes over n x d
-    data: M^T (z_1 - z_2) for the certificate; M times [xi, M^T (z_1 - z_2)]
-    in one product, for costs computed afresh, so that the best iterate is
-    chosen on exact costs, and the certificate's projection; the
-    certificate's A^T y on the raw rows; the g_i; and one M^T and one M
-    product per direction, whose M dx gives both du and ds.
+    and gamma_i = D_3i / (1 + D_3i sum_{G_i} 1 / e_j), which ``_cholesky``
+    factors once for both. An iteration therefore costs one weighted Gram
+    matrix, O(n d^2), and eight passes over n x d data: M^T (z_1 - z_2) for
+    the certificate; M times [xi, M^T (z_1 - z_2)] in one product, for costs
+    computed afresh, so that the best iterate is chosen on exact costs, and
+    the certificate's projection; the certificate's A^T y on the raw rows;
+    the g_i; and one M^T and one M product per direction, whose M dx gives
+    both du and ds.
 
     Every iteration certifies a lower bound on the optimum over all x. The
     multiplier difference y = z_2 - z_1, moved to the nearest point with
@@ -453,13 +454,13 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
         return [v[p] for p in parts]
 
     sv = svd(data.stacked())  # A = U diag(sigma) V up to RANK_RTOL
-    if delta is None:
-        delta = _box_radius(sv.sigma, max(float(np.linalg.norm(y)) for y in labels.targets))
+    radius = _radius(sv.sigma, labels.targets)  # a ball about 0 that holds a minimiser (see the docstring)
+    delta = radius if delta is None else delta
     null = np.linalg.qr(sv.V.T, mode="complete")[0][:, sv.rank :]  # orthonormal, A null = 0
     T = np.column_stack([sv.V.T / sv.sigma, null])
     M = sv.U if sv.rank == d else np.column_stack([sv.U, np.zeros((n, d - sv.rank))])  # A T = M
     MT = M.T
-    fit = 1e-12 * max(float(per_group(np.abs(b)).max()), 1.0)
+    fit = 1e-12 * float(per_group(np.abs(b)).max())
 
     seed = T @ (MT @ b)  # the stacked least-squares fit, pinv(A) b
     start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
@@ -467,10 +468,7 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
     if scale <= fit:  # an exact fit, with no cost to scale by
         return _solution(data, labels, start, 0, "interior-point", "l1", 0.0)  # the trivial bound OPT >= 0
 
-    beta, lim = b / scale, np.full(d, delta / scale)
-    # the radius of a ball about 0 that holds a minimiser over all x (see the docstring)
-    reach = ell * float(per_group(np.abs(beta)).max()) + float(np.linalg.norm(beta))
-    reach = reach / float(sv.sigma[-1]) if sv.rank else 0.0
+    beta, lim, reach = b / scale, np.full(d, delta / scale), radius / scale
 
     # u sits the mean residual above |r|, and t that far above the largest group sum of u. The
     # multipliers satisfy every dual equation but the one for xi: each group's z_3 is
@@ -531,7 +529,7 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
         K[:d, :d] += (T.T * (Dp + Dm)) @ T + (g * gamma) @ g.T
         K[:d, d] = K[d, :d] = g @ gamma
         K[d, d] = gamma.sum()
-        K[np.diag_indices(d + 1)] += REGULARISE * K.diagonal().max()
+        L = _cholesky(K)
 
         def solve_u(ru):
             """The u block of G^T D G inverted, group by group, by Sherman-Morrison."""
@@ -545,7 +543,7 @@ def _minmax_l1_ipm(data, labels, eps, max_iters, delta) -> RegressionSolution:
             ru = a1 + a2 - spread(a3)
             wu = solve_u(ru)
             rhs = -(T.T @ (a4 - a5)) - MT @ (a1 - a2 + f * wu)
-            dxt = np.linalg.solve(K, np.append(rhs, a3.sum() - 1.0 + D3 @ per_group(wu)))
+            dxt = np.linalg.solve(L.T, np.linalg.solve(L, np.append(rhs, a3.sum() - 1.0 + D3 @ per_group(wu))))
             dx, dt = dxt[:d], float(dxt[d])
             Mdx, Tdx = M @ dx, T @ dx
             du = solve_u(ru - f * Mdx + spread(D3 * dt))
@@ -601,10 +599,10 @@ def minmax_subgradient(
     An exact fit inside the box returns at once with none. All start from
     the stacked least-squares seed clipped into the box (the L2 ascent from
     uniform weights, whose solve is that seed), take no other start point,
-    and keep their iterates strictly inside the box. An unset radius comes
-    from the singular values of the stacked design, as in
-    ``default_box_radius``. ``eps`` and ``box_delta`` must be positive and
-    finite.
+    and keep their iterates strictly inside the box. An unset radius is
+    ``default_box_radius``'s r* = (ell max_i ||b_i||_1 + ||b||) / sigma_min,
+    proven in ``_minmax_l1_ipm`` to hold a minimiser; unlike ``eps``, it scales
+    with the data. ``eps`` and ``box_delta`` must be positive and finite.
     """
     labels.validate_against(data)
     if norm not in ("l1", "l2"):
@@ -723,21 +721,23 @@ def binary_search_fair_regression(
     L0 is the stacked least-squares seed's worst-group cost, and j runs up to
     cap = ceil(log_{1+eps}(ell)) + 2, enough steps to walk the
     ell-approximation seed down to a (1 + eps)-approximation. One
-    ``minmax_subgradient`` solve, to within max(1e-9, L_min * eps / 20) of
-    the optimum at L_min = L0 / (1 + eps)^cap, the lowest level, decides
-    every threshold: ``iterations`` counts the levels j >= 1 its cost meets
-    within the slack (1 + eps/4). The result is the solve's x, or the seed
-    when the seed is cheaper, and ``gap`` comes from the solve's certificate.
+    ``minmax_subgradient`` solve, to within L_min * eps / 20 of the optimum
+    at L_min = L0 / (1 + eps)^cap, the lowest level, decides every
+    threshold: ``iterations`` counts the levels j >= 1 its cost meets within
+    the slack (1 + eps/4). The result is the solve's x, or the seed when it
+    is cheaper or fits exactly, and ``gap`` comes from the solve's certificate.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     seed = stacked_least_squares(data, labels).x
     level = fair_regression_cost(data, labels, seed, norm)
     cap = math.ceil(math.log(max(data.ell, 2)) / math.log1p(eps)) + 2
-    lowest = level / (1.0 + eps) ** cap
-    sol = minmax_subgradient(data, labels, norm=norm, eps=max(1e-9, lowest * eps / 20.0))
+    tol = level / (1.0 + eps) ** cap * eps / 20.0
+    if not tol > 0.0:  # an exact fit: nothing is cheaper than the seed
+        return _solution(data, labels, seed, 0, "binary-search", norm, 0.0)
+    sol = minmax_subgradient(data, labels, norm=norm, eps=tol)
     # the j in [1, cap] with sol.max_cost <= level (1 + eps/4) / (1 + eps)^j, counted in closed form
     ratio = level * (1.0 + eps / 4.0) / sol.max_cost if sol.max_cost > 0.0 else math.inf
-    met = max(0, math.floor(min(math.log(ratio) / math.log1p(eps), cap))) if ratio > 0.0 else 0
+    met = max(0, math.floor(min(math.log(ratio) / math.log1p(eps), cap)))
     x = seed if level < sol.max_cost else sol.x
     return _solution(data, labels, x, met, "binary-search", norm, sol.max_cost - sol.gap)

@@ -85,6 +85,20 @@ def test_stacked_regress_reports_the_requested_norm(tmp_path, capsys):
         assert f"max cost: {want.max():.6g}" in out
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_regress_is_unmoved_by_a_tiny_feature_scale(tmp_path, capsys, norm):
+    # the default box was once clipped to 1e6: with a scaled by 1e-7, L2 printed 5.16236 for 2.86121, L1 6.7 for 3.7
+    printed = []
+    for a in (("1.0", "3.0", "2.0", "4.0"), ("1e-07", "3e-07", "2e-07", "4e-07")):
+        path = tmp_path / "two_groups.csv"
+        path.write_text("a,b,grp\n" + "".join(f"{v},{b},{g}\n" for v, b, g in zip(a, "2153", "mfmf")))
+        rc = main(["regress", str(path), "--group-col", "grp", "--features", "a", "--label-col", "b",
+                   "--norm", norm, "--eps", "1e-9"])
+        assert rc == 0
+        printed.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("max cost:")])
+    assert printed[0] == printed[1] and len(printed[0]) == 1
+
+
 def test_lra_prints_the_solution_cost(grouped_csv, capsys):
     data, _ = ingest_csv(IngestSpec(path=grouped_csv, group_col="grp", seed=4))
     sol = bicriteria_fair_lra(data, BicriteriaConfig(k=1, seed=4))

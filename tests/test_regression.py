@@ -383,8 +383,8 @@ class TestManyGroups:
             groups, targets = scaled_two_group(rng)
             sol = minmax_subgradient(*make(groups + [groups[0]], targets + [targets[0]]), eps=1e-13)
             assert sol.iterations <= 100, f"instance {i}"
-            # both sides evaluate one least-squares cost when a group's own fit is optimal: allow its rounding
-            assert sol.max_cost - sol.gap <= two_group_l2_minmax(groups, targets) * (1.0 + 1e-12), f"instance {i}"
+            # the certificate charges the rounding of its inner products, so it holds with no allowance
+            assert sol.max_cost - sol.gap <= two_group_l2_minmax(groups, targets), f"instance {i}"
 
 
 def l1_lp_optimum(groups, targets) -> float:
@@ -592,6 +592,58 @@ def test_tolerance_and_box_must_be_positive_and_finite(norm, name, value):
     # NaN passed a plain "<= 0" check: eps ran to the precision floor, a box of NaN failed deep inside
     with pytest.raises(ValueError, match="positive and finite"):
         minmax_subgradient(*ONE_D, norm=norm, **{name: value})
+
+
+def probe_instance(design=1.0, target=1.0):
+    """Two groups of 40 and 30 rows in R^3 with a shared planted x, the design and the targets scaled."""
+    rng = np.random.default_rng(5)
+    groups = [rng.standard_normal((n, 3)) for n in (40, 30)]
+    targets = [g @ np.array([1.0, -2.0, 0.5]) + 0.3 * rng.standard_normal(g.shape[0]) for g in groups]
+    return make([design * g for g in groups], [target * t for t in targets])
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+class TestScaleInvariance:
+    """The default box, the exact-fit test and the threshold search's tolerance scale with the data."""
+
+    def test_scaled_design_is_solved_as_the_original(self, norm):
+        # the box once was clipped to 1e6: at 1e-8 it cut off every minimiser, L2 stopped at 13.7 and L1 at 64.1
+        ref = minmax_subgradient(*probe_instance(), norm=norm, eps=1e-9)
+        for s in (1e-8, 1e-4, 1e4):
+            sol = minmax_subgradient(*probe_instance(design=s), norm=norm, eps=1e-9)
+            assert sol.iterations == ref.iterations, f"scale {s}"
+            assert sol.max_cost == pytest.approx(ref.max_cost, rel=1e-9, abs=0.0), f"scale {s}"
+
+    def test_tiny_data_is_not_an_exact_fit(self, norm):
+        # an absolute exact-fit floor of 1e-12 once returned the stacked seed with the trivial bound here
+        ref = minmax_subgradient(*probe_instance(), norm=norm, eps=1e-9)
+        for s in (1e-13, 1e-14):
+            sol = minmax_subgradient(*probe_instance(s, s), norm=norm, eps=1e-9 * s)
+            assert sol.iterations == ref.iterations, f"scale {s}"
+            assert sol.max_cost / s == pytest.approx(ref.max_cost, rel=1e-9, abs=0.0), f"scale {s}"
+
+    def test_threshold_search_on_tiny_data(self, norm):
+        # an absolute floor of 1e-9 on the solve's tolerance once returned the seed, in L2 3.8% above the optimum
+        ref = binary_search_fair_regression(*probe_instance(), norm=norm)
+        for s in (1e-9, 1e-10):
+            sol = binary_search_fair_regression(*probe_instance(s, s), norm=norm)
+            assert sol.max_cost / s == pytest.approx(ref.max_cost, rel=1e-6, abs=0.0), f"scale {s}"
+
+    def test_default_box_holds_the_minimiser(self, norm):
+        # a box of 1e300 cuts off nothing, so its solve's x must lie in the ball the default box is proven to hold
+        rng = np.random.default_rng(74)
+        instances = [probe_instance(design=1e-7)] + [make(*planted_groups(rng, ell, 4)) for ell in (3, 32)]
+        for i, (data, labels) in enumerate(instances):
+            huge = minmax_subgradient(data, labels, norm=norm, eps=1e-9, box_delta=1e300)
+            assert np.linalg.norm(huge.x) <= default_box_radius(data, labels), f"instance {i}"
+            default = minmax_subgradient(data, labels, norm=norm, eps=1e-9)
+            assert default.max_cost == pytest.approx(huge.max_cost, rel=1e-8), f"instance {i}"
+
+    def test_zero_targets_return_at_once(self, norm):
+        # the exact-fit threshold is relative, so 0 for all-zero targets, and a cost of 0 still meets it
+        data, labels = make([np.ones((2, 2)), np.eye(2)], [np.zeros(2), np.zeros(2)])
+        for sol in (minmax_subgradient(data, labels, norm=norm), binary_search_fair_regression(data, labels, norm)):
+            assert sol.iterations == 0 and sol.max_cost == 0.0 and sol.gap == 0.0
 
 
 class TestFeasibilityExports:
