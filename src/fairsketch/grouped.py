@@ -11,9 +11,10 @@ one batched numpy call, and each group's spectrum, read off one batched SVD
 of that stack, is cached as ``tail_energies``. L2 regression sees a group
 only through the R factor of [A_i b_i], since ||A_i x - b_i|| = ||R_i [x; -1]||,
 held in the same padded layout and computed once per (data, labels) pair by
-``GroupedLabels.augmented_r``. Only the L1 objective, which is not
-rotation-invariant, the feasibility exports and the reported per-group costs
-read the raw rows; ``stacked`` provides their vertical concatenation.
+``GroupedLabels.augmented_r``, which also gives every L2 solution's
+reported per-group costs. Only the L1 objective, which is not
+rotation-invariant, its reported costs and the feasibility exports read the
+raw rows; ``stacked`` provides their vertical concatenation.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ hence convex, so three complementary routes are provided:
   minimiser and scales with the data. L2 is solved for every group count by
   an active-set Newton ascent on its concave Lagrange dual over the simplex
   of group weights, one weighted least-squares solve on the per-group R
-  factors per step. L1 is a linear program, solved by Mehrotra's primal-dual
+  factors per step. On an edge of the simplex, every step of a two-group
+  solve, those solves share one eigendecomposition of the edge's pencil and
+  cost O(d^2) each. L1 is a linear program, solved by Mehrotra's primal-dual
   interior-point method on a (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
@@ -23,12 +25,15 @@ hence convex, so three complementary routes are provided:
 over the thresholds L0 / (1 + eps)^j below the stacked seed's cost L0. One
 exact ``minmax_subgradient`` solve decides every threshold at once, so the
 search takes no oracle and no start point.
+
+Every L2 solution's per-group costs are ||R_i [x; -1]|| on the same R
+factors; only L1 costs read the raw rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,6 +51,8 @@ REGULARISE = 1e-14  # diagonal shift, relative to the top entry, that keeps a si
 GRAM_ROWS = 512  # rows per block of K's weighted Gram matrix: n x d temporaries fragment the heap
 TO_BOUNDARY = 0.99  # interior-point steps go this fraction of the way to the nearest bound s, z >= 0
 GAP_FLOOR = 1e-9  # solves stop at this relative gap: below it the certificates keep too few digits
+SLOPE_RTOL = 1e-12  # an edge search stops where f_b - f_a falls to this fraction of the largest f_i
+PENCIL_RTOL = 1e-12  # a pencil direction weighted below this fraction of its groups' traces is singular there
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,16 @@ class FeasibilityModel:
 
 
 def _solution(data, labels, x, iterations, method, norm, lower) -> RegressionSolution:
-    """The solution at x; ``lower`` is a certified lower bound on the optimum (-inf certifies nothing)."""
-    costs = fair_regression_group_costs(data, labels, x, norm)
+    """The solution at x; ``lower`` is a certified lower bound on the optimum (-inf certifies nothing).
+
+    L2 costs are ||R_i [x; -1]|| on ``labels.augmented_r(data)``, which every L2 path has built; L1 costs read the
+    raw rows.
+    """
+    if norm == "l2":
+        R = labels.augmented_r(data)
+        costs = np.linalg.norm(R[:, :, : data.d] @ x - R[:, :, data.d], axis=1)
+    else:
+        costs = fair_regression_group_costs(data, labels, x, norm)
     max_cost = float(costs.max())
     return RegressionSolution(
         x=np.asarray(x, dtype=np.float64),
@@ -250,32 +265,98 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
     In ``p``'s units, with f_i(u) = ||M_i u - beta_i||^2, the dual
     max_lam g(lam) = min_u sum_i lam_i f_i over the simplex (u in the box) is
     concave with no duality gap (Boyd & Vandenberghe, *Convex Optimization*,
-    ch. 5). u solves A u = sum_i lam_i M_i^T beta_i, A = sum_i lam_i M_i^T M_i,
-    by one Cholesky factor inside the open box, else by ``_box_qp``; then
-    dg/dlam_i = f_i(u), and the Hessian is -2 J^T A^-1 J, J = [M_i^T r_i]_i,
-    on the free coordinates. The ascent starts at uniform lam (u is the
-    stacked seed), or, past d + 1 groups, where that Hessian is singular, at
-    the seed's worst group's vertex. Each step adds the worst group outside
-    the support S if it is worse than all of S, then moves on S's face. On
-    an edge, lam = (1 - mu) e_a + mu e_b, as on two groups, a bracket on
-    g' = f_b - f_a = 0 keeps the Newton steps, else the step is to its
-    midpoint. Larger faces take ``face_step``'s damped Newton step up to the
-    first weight it zeroes, whose group leaves S; a step that g rises along
-    by less than an Armijo fraction is retried with ten times the damping.
+    ch. 5). u solves A u = sum_i lam_i c_i, A = sum_i lam_i G_i, with
+    G_i = M_i^T M_i and c_i = M_i^T beta_i, inside the open box, else by
+    ``_box_qp``; then dg/dlam_i = f_i(u), and the Hessian is -2 J^T A^-1 J,
+    J = [M_i^T r_i]_i, on the free coordinates. The ascent starts at uniform
+    lam (u is the stacked seed), or, past d + 1 groups, where that Hessian is
+    singular, at the seed's worst group's vertex. Each step adds the worst
+    group outside the support S if it is worse than all of S, then moves on
+    S's face.
 
-    ``_certified_bound`` certifies every solve and meets the cost at the
-    optimum. The ascent stops at a gap of ``eps``, or of GAP_FLOOR relative,
-    after ``max_iters`` solves, or when it stalls (lam stops changing, a
-    bracket collapses, no step rises), as when the box cuts off every
-    minimiser. An exact fit returns at once with the trivial bound.
+    An edge, lam = (1 - mu) e_a + mu e_b, as on two groups, is searched in the
+    eigenbasis of its pencil (Golub & Van Loan, *Matrix Computations*, 8.7),
+    factored once per edge: with t_i = tr G_i, P^T (G_a / t_a + G_b / t_b) P = I
+    and P^T G_b P = t_b diag(theta), so u = P ((c'_a + mu (c'_b - c'_a)) / den)
+    with c' = P^T c and den = (1 - mu) t_a (1 - theta) + mu t_b theta, and g''
+    and g''' cost O(d). A singular base takes ``_cholesky``'s shift; a den
+    entry at rounding level, a direction the group at a vertex does not see,
+    takes the quotient's limit in mu. The steps are Halley's, else Newton's,
+    kept in a bracket on g' = f_b - f_a = 0; out of it, a step goes to a vertex
+    that no point has ruled out, else, as from a vertex, to the midpoint. The
+    search stops where the slope falls to SLOPE_RTOL of the largest f_i, where
+    the bracket empties (as at a vertex whose slope points out of the edge),
+    where a group outside the edge is worse than both, or when the budget is
+    spent; only that point is certified. Larger faces take ``face_step``'s
+    damped Newton step up to the first weight it zeroes, whose group leaves S;
+    a step that g rises along by less than an Armijo fraction is retried with
+    ten times the damping. Every face point is certified.
+
+    ``iterations`` counts solves: each edge point, each face point and each
+    retried face step. ``_certified_bound`` meets the cost at the optimum.
+    The ascent stops at a gap of ``eps``, or of GAP_FLOOR relative, after
+    ``max_iters`` solves, or when it stalls (an edge's search ends short of
+    the gap, lam stops changing, no step rises), as when the box cuts off
+    every minimiser. An exact fit returns at once with the trivial bound.
     """
     p = _scaled_l2(data, labels, delta)
     if p.scale <= p.fit:  # an exact fit: nothing to scale the costs by
         return _solution(data, labels, p.start, 0, "dual-newton", "l2", 0.0)  # the trivial bound OPT >= 0
     M, beta, lim = p.M, p.beta, p.lim
     ell, d = data.ell, data.d
-    G = np.einsum("ijk,ijl->ikl", M, M)
-    c = np.einsum("ijk,ij->ik", M, beta)
+    G = M.transpose(0, 2, 1) @ M
+    c = (beta[:, None, :] @ M)[:, 0]
+    t = np.einsum("ijj->i", G)
+    t[t == 0.0] = 1.0  # an all-zero design block: any scale will do
+
+    def pencil(a, b):
+        """(P, t_a (1 - theta), t_b theta - t_a (1 - theta), c'_a, c'_b - c'_a) of the edge (1 - mu) e_a + mu e_b."""
+        H = np.linalg.inv(_cholesky(G[a] / t[a] + G[b] / t[b]))
+        B = H @ M[b].T
+        theta, Q = np.linalg.eigh(B @ B.T / t[b])
+        theta = np.clip(theta, 0.0, 1.0)
+        P = H.T @ Q
+        ca = P.T @ c[a]
+        return P, t[a] * (1.0 - theta), t[b] * theta - t[a] * (1.0 - theta), ca, P.T @ c[b] - ca
+
+    def half(X):
+        """L^-1 X on the current point's free coordinates, for L L^T = A: diag(den)^-1/2 P^T X in an edge's basis."""
+        return np.sqrt(inv)[:, None] * (P.T @ X) if L is None else np.linalg.solve(L, X[free])
+
+    def curvature(S, r):
+        """(-g''(mu), g'''(mu)) on the edge S: in its basis h = P^T (J_b - J_a) = dT v - dc and h' = -dT h / den."""
+        if L is None and S == edge:
+            q = h * h * inv
+            return 2.0 * float(q.sum()), 6.0 * float((dT * inv) @ q)
+        y = half((M[S[1]].T @ r[S[1]] - M[S[0]].T @ r[S[0]])[:, None])
+        return 2.0 * float((y * y).sum()), 0.0  # no third derivative off the basis: a Newton step
+
+    def edge_step(S, lam, f, r):
+        """The edge's next lam, or None where its search stops; narrows the edge's bracket, kept for the run."""
+        a, b = S
+        mu, slope, top = lam[b], float(f[b] - f[a]), float(f.max())
+        lo, hi = brackets.get((a, b), (0.0, 1.0))
+        if slope > 0.0:  # the maximiser lies strictly past mu, so a vertex at mu is ruled out
+            lo = max(lo, math.nextafter(mu, math.inf))
+        else:
+            hi = min(hi, math.nextafter(mu, -math.inf))
+        brackets[a, b] = lo, hi
+        if abs(slope) <= SLOPE_RTOL * top or lo > hi or top > max(f[a], f[b]) or steps >= max_iters:
+            return None
+        if mu == 0.0 or mu == 1.0:  # g' is steepest at a vertex, where Newton steps creep: bisect away from it
+            point = 0.5 * (lo + hi)
+        else:
+            bend, twist = curvature(S, r)
+            newton = mu + slope / bend if bend > 0.0 else math.copysign(math.inf, slope)
+            denom = 2.0 * bend * bend - slope * twist
+            halley = mu + 2.0 * slope * bend / denom if denom > 0.0 else newton
+            inside = [x for x in (halley, newton) if lo <= x <= hi]
+            # Halley's step, else Newton's; out of the bracket, to a vertex it still holds, else to its midpoint
+            held = 0.0 if newton < lo and lo == 0.0 else 1.0 if newton > hi and hi == 1.0 else 0.5 * (lo + hi)
+            point = inside[0] if inside else held
+        nxt = np.zeros(ell)
+        nxt[a], nxt[b] = 1.0 - point, point
+        return nxt
 
     def face_step(lam, f, W, S, tau):
         """(next lam, predicted rise, tau): the Newton step on S's face in the basis e_k - e_s0, W = L^-1 J_S.
@@ -306,21 +387,38 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
         S = [int(np.sum((M @ (p.start * p.col / p.scale) - beta) ** 2, axis=1).argmax())]
         lam = np.eye(ell)[S[0]]
     steps, lower, cost = 0, 0.0, math.inf  # every cost is a norm, so OPT >= 0
-    brackets, face, tau = {}, None, 0.0  # a face step's (lam, g, f, W, rise) while its trial point is solved
+    brackets, pencils, tau = {}, {}, 0.0
+    face = None  # a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
-        # on an edge two terms, not lam @ G, whose other rounding would move the two-group iterates
-        A = lam[S[0]] * G[S[0]] + lam[S[1]] * G[S[1]] if len(S) == 2 else (lam @ G.reshape(ell, -1)).reshape(d, d)
-        rhs = lam @ c
-        L = _cholesky(A)
-        u, free = np.linalg.solve(L.T, np.linalg.solve(L, rhs)), slice(None)  # every coordinate free
+        edge, L, free = (list(S) if len(S) == 2 else None), None, slice(None)  # every coordinate free
+        if edge:  # O(d^2) in the edge's basis: u = P v
+            if tuple(S) not in pencils:
+                pencils[tuple(S)] = pencil(*S)
+            P, Ta, dT, ca, dc = pencils[tuple(S)]
+            mu = lam[S[1]]
+            den = Ta + mu * dT
+            flat = den <= PENCIL_RTOL * ((1.0 - mu) * t[S[0]] + mu * t[S[1]])
+            inv = 1.0 / np.where(flat, 1.0, den)
+            v = (ca + mu * dc) * inv
+            if flat.any():  # directions unseen at mu take the quotient's limit in mu, along which g does not bend
+                inv[flat], v[flat] = 0.0, dc[flat] / dT[flat]
+            u, h = P @ v, dT * v - dc
+        else:
+            L = _cholesky((lam @ G.reshape(ell, -1)).reshape(d, d))
+            u = np.linalg.solve(L.T, np.linalg.solve(L, lam @ c))
         if not np.all(np.abs(u) < lim):
-            u, free, L = _box_qp(A, rhs, lim, u)
+            u, free, L = _box_qp((lam @ G.reshape(ell, -1)).reshape(d, d), lam @ c, lim, u)
         r = M @ u - beta
         f = np.sum(r * r, axis=1)
         worst = math.sqrt(float(f.max()))
         if worst < cost:
             cost, best = worst, u
+        if edge:
+            nxt = edge_step(S, lam, f, r)
+            if nxt is not None:
+                lam = nxt
+                continue
         lower = max(lower, _certified_bound(p, r, f, lam))
         if (cost - lower) * p.scale <= eps or cost - lower <= GAP_FLOOR * cost:
             break
@@ -334,33 +432,24 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
                     break  # no step rises at working precision
                 face = (base, g0, fb, W, rise)
                 continue
-        if len(S) == 2:  # an edge point narrows the edge's bracket on mu, kept for the run: the maximiser stays put
-            a, b = S
-            lo, hi = brackets.get((a, b), (0.0, 1.0))
-            brackets[a, b] = (max(lo, lam[b]), hi) if f[b] > f[a] else (lo, min(lam[b], hi))
+        if edge:  # a search that ends at a vertex leaves the edge
+            S = [i for i in S if lam[i] > 0.0]
         if len(S) < ell:
             j = max((i for i in range(ell) if i not in S), key=f.__getitem__)
             if f[j] > f[S].max():
                 S.append(j)
         if len(S) >= 3:
-            W = np.linalg.solve(L, np.einsum("ijk,ij->ik", M[S], r[S])[:, free].T)
+            W = half(np.einsum("ijk,ij->ik", M[S], r[S]).T)
             nxt, rise, tau = face_step(lam, f, W, S, tau)
             if not rise > 0.0 or np.array_equal(nxt, lam):
                 break  # lam no longer changes
             face, lam = (lam, float(lam @ f), f, W, rise), nxt
             continue
-        if len(S) == 1:
-            break  # a vertex that no group outside it beats
-        a, b = S
-        lo, hi = brackets.get((a, b), (0.0, 1.0))  # none yet at a vertex that b has just joined
-        y = np.linalg.solve(L, (np.einsum("jk,j->k", M[b], r[b]) - np.einsum("jk,j->k", M[a], r[a]))[free])
-        bend = 2.0 * float(y @ y)  # -g''(mu)
-        point = lam[b] + float(f[b] - f[a]) / bend if bend > 0.0 else math.nan
-        point = point if lo < point < hi else 0.5 * (lo + hi)
-        if not lo < point < hi:
-            break  # the bracket has collapsed
-        lam = np.zeros(ell)
-        lam[a], lam[b] = 1.0 - point, point
+        if len(S) == 1 or S == edge:
+            break  # a vertex, or an edge whose search has ended, that no group outside beats
+        lam = edge_step(S, lam, f, r)  # a new edge's first step, from this point
+        if lam is None:
+            break
     return _solution(data, labels, best * p.scale / p.col, steps, "dual-newton", "l2", lower * p.scale)
 
 
@@ -584,9 +673,12 @@ def minmax_subgradient(
     * L2 runs a Newton ascent on the Lagrange dual max_lam min_x
       sum_i lam_i f_i over the simplex of group weights, f_i the squared
       group costs (``_minmax_l2``, method "dual-newton"), for every number
-      of groups; on two groups it is a safeguarded Newton search on mu in
-      lam = (1 - mu, mu). ``iterations`` counts its weighted least-squares
-      solves, one per step and one per retried step, each certified.
+      of groups; on two groups it is a safeguarded Halley search on mu in
+      lam = (1 - mu, mu), in the eigenbasis of the pair's Gram matrices and
+      to rounding level whatever ``eps``. ``iterations`` counts its weighted
+      least-squares solves, one per point and one per retried step. Each
+      point on a face of three or more groups is certified, an edge's search
+      only where it ends.
     * L1 runs Mehrotra's primal-dual interior-point method on the linear
       program (``_minmax_l1_ipm``, method "interior-point"); ``iterations``
       counts interior-point iterations.
@@ -724,20 +816,22 @@ def binary_search_fair_regression(
     ``minmax_subgradient`` solve, to within L_min * eps / 20 of the optimum
     at L_min = L0 / (1 + eps)^cap, the lowest level, decides every
     threshold: ``iterations`` counts the levels j >= 1 its cost meets within
-    the slack (1 + eps/4). The result is the solve's x, or the seed when it
-    is cheaper or fits exactly, and ``gap`` comes from the solve's certificate.
+    the slack (1 + eps/4). The result is the solve's x with the solve's
+    costs, or the seed when it is cheaper or fits exactly, and ``gap`` comes
+    from the solve's certificate. In L2, L0 is the seed's own ``max_cost``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    seed = stacked_least_squares(data, labels).x
-    level = fair_regression_cost(data, labels, seed, norm)
+    seed = stacked_least_squares(data, labels)
+    level = seed.max_cost if norm == "l2" else fair_regression_cost(data, labels, seed.x, norm)
     cap = math.ceil(math.log(max(data.ell, 2)) / math.log1p(eps)) + 2
     tol = level / (1.0 + eps) ** cap * eps / 20.0
     if not tol > 0.0:  # an exact fit: nothing is cheaper than the seed
-        return _solution(data, labels, seed, 0, "binary-search", norm, 0.0)
+        return _solution(data, labels, seed.x, 0, "binary-search", norm, 0.0)
     sol = minmax_subgradient(data, labels, norm=norm, eps=tol)
     # the j in [1, cap] with sol.max_cost <= level (1 + eps/4) / (1 + eps)^j, counted in closed form
     ratio = level * (1.0 + eps / 4.0) / sol.max_cost if sol.max_cost > 0.0 else math.inf
     met = max(0, math.floor(min(math.log(ratio) / math.log1p(eps), cap)))
-    x = seed if level < sol.max_cost else sol.x
-    return _solution(data, labels, x, met, "binary-search", norm, sol.max_cost - sol.gap)
+    if level < sol.max_cost:
+        return _solution(data, labels, seed.x, met, "binary-search", norm, sol.max_cost - sol.gap)
+    return replace(sol, iterations=met, method="binary-search")

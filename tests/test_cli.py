@@ -276,6 +276,19 @@ def test_rank_deficient_badly_scaled_regress_runs(tmp_path, capsys):
     assert "method: dual-newton (l2)" in out and "certified lower bound" in out
 
 
+def test_regress_ends_at_a_vertex_optimum_in_few_points(tmp_path, capsys):
+    # group f's one row leaves it cheaper at group m's own fit: the dual's maximiser is m's vertex,
+    # which bisection approached in 28 solves
+    path = tmp_path / "short_group.csv"
+    path.write_text("a,b,c,grp\n1.0,2.0,3.0,m\n3.0,1.0,2.0,f\n2.0,5.0,1.0,m\n4.0,3.0,0.5,m\n")
+    rc = main(["regress", str(path), "--group-col", "grp", "--features", "a,b", "--label-col", "c", "--eps", "1e-9"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    (iterations,) = re.findall(r"method: dual-newton \(l2\), iterations: (\d+)", out)
+    assert int(iterations) <= 4
+    assert "max cost: 2.44972" in out and "certified lower bound: 2.44972" in out
+
+
 def test_byte_order_mark_csv_runs(tmp_path, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfSEX,a,b\n1,1.0,2.0\n2,3.0,1.0\n")

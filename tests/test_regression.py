@@ -300,6 +300,111 @@ class TestDualNewton:
         assert sol.method == "dual-newton"  # the last instance solves on the box from its first step
 
 
+def noisy_and_quiet_pairs(count=200):
+    """Two groups in d in [2, 5] with more than d rows each and one planted x, noise 3.0 against 0.1.
+
+    Yields (groups, targets, vertex): vertex is whether the noisy group's own least-squares fit leaves the
+    quiet group cheaper, so that the min-max optimum is that fit and the dual's maximiser the noisy vertex.
+    """
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        d = int(rng.integers(2, 6))
+        groups = [rng.standard_normal((int(rng.integers(d + 1, 40)), d)) for _ in range(2)]
+        x = rng.standard_normal(d)
+        targets = [g @ x + s * rng.standard_normal(g.shape[0]) for g, s in zip(groups, (3.0, 0.1))]
+        fit = np.linalg.lstsq(groups[0], targets[0], rcond=None)[0]
+        vertex = np.linalg.norm(groups[1] @ fit - targets[1]) <= np.linalg.norm(groups[0] @ fit - targets[0])
+        yield groups, targets, vertex
+
+
+class TestEdgeSearch:
+    """An edge of the L2 dual is searched in its pencil's eigenbasis: one factor, one certificate, one cost pass."""
+
+    def test_interior_solve_factors_and_certifies_once(self, monkeypatch):
+        calls = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        rng = np.random.default_rng(31)  # the instance of TestDualNewton.test_interior_optimum_takes_the_dual_search
+        groups = [rng.standard_normal((n, 3)) for n in (20, 12)]
+        targets = [g @ rng.standard_normal(3) + s * rng.standard_normal(g.shape[0]) for g, s in zip(groups, (1.0, 3.0))]
+        data, labels = make(groups, targets)
+        for owner, name in ((np.linalg, "cholesky"), (regression, "_certified_bound"),
+                            (regression, "fair_regression_group_costs"), (regression, "fair_regression_cost")):
+            count(owner, name)
+        for solve in (lambda: minmax_subgradient(data, labels, eps=1e-9),
+                      lambda: binary_search_fair_regression(data, labels)):
+            calls.clear()
+            sol = solve()
+            assert calls == {"cholesky": 1, "_certified_bound": 1}  # no group's raw rows are read
+            assert sol.gap <= 1e-9 * sol.max_cost
+            assert sol.per_group_costs[0] == pytest.approx(sol.per_group_costs[1], rel=1e-9)  # inside the edge
+
+    def test_l2_costs_read_the_r_stack(self):
+        rng = np.random.default_rng(41)
+        for i in range(60):
+            ell, d = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            groups = [rng.standard_normal((int(rng.integers(d + 1, 3 * d + 3)), d)) for _ in range(ell)]
+            targets = [rng.standard_normal(g.shape[0]) for g in groups]
+            s = 10.0 ** rng.uniform(-8.0, 4.0, size=2)
+            groups, targets = [s[0] * g for g in groups], [s[1] * t for t in targets]
+            data, labels = make(groups, targets)
+            for x in (minmax_subgradient(data, labels, eps=1e-9 * s[1]).x, s[1] / s[0] * rng.standard_normal(d)):
+                got = regression._solution(data, labels, x, 0, "dual-newton", "l2", 0.0).per_group_costs
+                want = np.array([np.linalg.norm(g @ x - t) for g, t in zip(groups, targets)])
+                assert np.all(np.abs(got - want) <= 1e-12 * want), f"instance {i}"
+        data, labels = make([np.ones((3, 2)), np.eye(2)], [np.zeros(3), np.zeros(2)])
+        assert stacked_least_squares(data, labels).max_cost == 0.0
+
+    def test_singular_group_and_rank_deficient_design_certify(self):
+        # a one-row group has a singular Gram matrix, so its vertex sees only one direction; a repeated column
+        # makes the stacked design, and so the pencil's base, singular
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 5))
+            one, many = rng.standard_normal((1, d)), rng.standard_normal((int(rng.integers(d + 1, 3 * d)), d))
+            b_one, b_many = 3.0 * rng.standard_normal(1), rng.standard_normal(many.shape[0])
+            pairs = [([one, many], [b_one, b_many]), ([many, one], [b_many, b_one]),
+                     ([np.column_stack([one, one[:, :1]]), np.column_stack([many, many[:, :1]])], [b_one, b_many])]
+            for k, (groups, targets) in enumerate(pairs):
+                sol = minmax_subgradient(*make(groups, targets), eps=1e-9)
+                assert sol.max_cost - sol.gap <= two_group_l2_minmax(groups, targets), f"seed {seed}, pair {k}"
+                assert sol.gap <= 1e-9 * max(sol.max_cost, 1.0), f"seed {seed}, pair {k}"
+
+    def test_vertex_optimum_ends_in_few_points(self):
+        # bisecting towards the vertex took 28 solves on most of these; evaluating the vertex itself ends there
+        counts, at_vertex = [], []
+        for i, (groups, targets, vertex) in enumerate(noisy_and_quiet_pairs()):
+            sol = minmax_subgradient(*make(groups, targets), eps=1e-9)
+            assert sol.gap <= 1e-9, f"instance {i}"
+            counts.append(sol.iterations)
+            if vertex:
+                at_vertex.append(sol.iterations)
+        assert len(at_vertex) >= 100
+        assert max(at_vertex) <= 3 and np.median(counts) <= 4 and max(counts) <= 10
+
+    def test_rank_deficient_group_at_its_own_vertex(self):
+        # the noisy group never has feature 0, so its vertex leaves that direction to the quiet group's fit: the
+        # limit of u as mu reaches the vertex; any other point there misreads the slope and bisects, up to 95 solves
+        rng = np.random.default_rng(12)
+        for i in range(200):
+            d = int(rng.integers(2, 6))
+            noisy = rng.standard_normal((int(rng.integers(d + 2, 4 * d + 2)), d))
+            noisy[:, 0] = 0.0
+            quiet = rng.standard_normal((int(rng.integers(d + 1, 4 * d)), d))
+            x = rng.standard_normal(d)
+            targets = [noisy @ x + 3.0 * rng.standard_normal(noisy.shape[0]),
+                       quiet @ x + 0.1 * rng.standard_normal(quiet.shape[0])]
+            sol = minmax_subgradient(*make([noisy, quiet], targets), eps=1e-9)
+            assert sol.gap <= 1e-9 * max(sol.max_cost, 1.0) and sol.iterations <= 10, f"instance {i}"
+
+
 def planted_groups(rng, ell, d):
     """ell groups of 40-119 rows in R^d, each with its own design mix, planted coefficients and noise level."""
     common = rng.standard_normal(d)
