@@ -11,11 +11,10 @@ hence convex, so three complementary routes are provided:
   gap. Its default delta, ``default_box_radius``, is proven to hold a
   minimiser and scales with the data. L2 is solved for every group count by
   an active-set Newton ascent on its concave Lagrange dual over the simplex
-  of group weights, one weighted least-squares solve on the per-group R
-  factors per step. On an edge of the simplex, every step of a two-group
-  solve, those solves share one eigendecomposition of the edge's pencil and
-  cost O(d^2) each. L1 is a linear program, solved by Mehrotra's primal-dual
-  interior-point method on a (d+1)x(d+1) Schur complement.
+  of group weights, in the orthonormal basis of one SVD of the stacked
+  design, each edge searched in one eigendecomposition of its pencil. L1 is
+  a linear program, solved by Mehrotra's primal-dual interior-point method
+  on a (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
   achievable" written as a linear program (L1) or a quadratically
   constrained program (L2, threshold on the squared cost), emitted in a
@@ -52,7 +51,7 @@ GRAM_ROWS = 512  # rows per block of K's weighted Gram matrix: n x d temporaries
 TO_BOUNDARY = 0.99  # interior-point steps go this fraction of the way to the nearest bound s, z >= 0
 GAP_FLOOR = 1e-9  # solves stop at this relative gap: below it the certificates keep too few digits
 SLOPE_RTOL = 1e-12  # an edge search stops where f_b - f_a falls to this fraction of the largest f_i
-PENCIL_RTOL = 1e-12  # a pencil direction weighted below this fraction of its groups' traces is singular there
+PENCIL_RTOL = 1e-12  # a pencil direction weighted below this fraction of its weight in the pair's sum is singular there
 
 
 @dataclass(frozen=True)
@@ -106,18 +105,18 @@ def _solution(data, labels, x, iterations, method, norm, lower) -> RegressionSol
     )
 
 
-def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> RegressionSolution:
-    """Least squares on the vertically stacked system.
-
-    The returned vector's worst-group L2 cost is at most ell times the
-    min-max optimum for ell groups. It is solved on the stack of R factors
-    of [A_i b_i] (``GroupedLabels.augmented_r``): with [A b] = Q [R_A r_b],
-    pinv(A) b = pinv(R_A) r_b, and R_A has A's singular values, so the
-    minimum-norm solution and its rank cut are the stacked system's.
+def _stacked_fit(data: GroupedMatrix, labels: GroupedLabels):
+    """(R, sv, x): R = ``labels.augmented_r(data)``, the rank-cut (``linalg.svd``) SVD U diag(sigma) V of its stacked
+    design blocks R_A, which has A's singular values, and x = V^T (U^T r_b) / sigma = pinv(A) b. Every L2 path reads it.
     """
-    R = labels.augmented_r(data).reshape(-1, data.d + 1)
-    x = pseudoinverse(R[:, : data.d]) @ R[:, data.d]
-    return _solution(data, labels, x, 0, "stacked", "l2", -math.inf)
+    R = labels.augmented_r(data)
+    sv = svd(R[:, :, : data.d].reshape(-1, data.d))
+    return R, sv, sv.V.T @ ((sv.U.T @ R[:, :, data.d].reshape(-1)) / sv.sigma)
+
+
+def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> RegressionSolution:
+    """Least squares on the stacked system (``_stacked_fit``); its worst-group L2 cost is at most ell times OPT."""
+    return _solution(data, labels, _stacked_fit(data, labels)[2], 0, "stacked", "l2", -math.inf)
 
 
 def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, norm: str = "l2"):
@@ -157,61 +156,57 @@ def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
 
 @dataclass(frozen=True)
 class _ScaledL2:
-    """The L2 problem in its solver's units: x = scale u / col, r_i = M_i u - beta_i and the box |u_j| <= lim_j.
+    """The L2 problem in its solver's units: r_i = M_i u - beta_i, with x = scale V^T (u / sigma).
 
-    M_i and beta_i are R_i's columns, scaled to unit-norm design columns and to ``scale``, the worst-group
-    cost of ``start``, the stacked seed clipped into the box. U spans the stacked M_i's range, and ``fit``
-    bounds an exact fit's cost.
+    M_i is group i's block of U in ``_stacked_fit``'s SVD U diag(sigma) V, beta_i R_i's target column over ``scale``,
+    the worst-group cost of ``start`` (the seed clipped into the box); ``fit`` bounds an exact fit's cost.
     """
 
     M: np.ndarray
     beta: np.ndarray
-    U: np.ndarray
-    col: np.ndarray
-    lim: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
     start: np.ndarray
     scale: float
     fit: float
+    cut: float
 
 
 def _scaled_l2(data, labels, delta) -> _ScaledL2:
-    """``_ScaledL2`` from ``labels.augmented_r(data)``; a ``delta`` of None is set by ``default_box_radius``."""
+    """``_ScaledL2`` from ``_stacked_fit``; a ``delta`` of None sets no box, and a full rank no cut charge."""
     d = data.d
-    R = labels.augmented_r(data)
-    col = np.linalg.norm(R[:, :, :d], axis=(0, 1))
-    col[col == 0.0] = 1.0
-    M = R[:, :, :d] / col  # unit-norm design columns
-    sv = svd(M.reshape(-1, d))
-    seed = (sv.V.T / sv.sigma) @ sv.U.T @ R[:, :, d].reshape(-1) / col  # pinv(M) b
+    R, sv, seed = _stacked_fit(data, labels)
     bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
-    if delta is None:
-        delta = default_box_radius(data, labels)
-    start = np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
+    start = seed if delta is None else np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
     scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
     unit = scale if scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
     # an exact fit's residual is the rounding of A x - b, about (d + 1) eps ||A||_F ||x|| at most
-    fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(col) * np.linalg.norm(start)
-    lim = delta * col / unit * (1.0 - 1e-12)  # x = scale u / col rounds to within the box
-    return _ScaledL2(M, R[:, :, d] / unit, sv.U, col, lim, start, scale, fit)
+    fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(sv.sigma) * np.linalg.norm(start)
+    E = R[:, :, :d].reshape(-1, d) - (sv.U * sv.sigma) @ sv.V
+    cut = float(np.linalg.norm(E)) * _radius(sv.sigma, labels.targets) / unit if sv.rank < d else 0.0
+    return _ScaledL2(sv.U.reshape(data.ell, d + 1, sv.rank), R[:, :, d] / unit, sv.sigma, sv.V, start, scale, fit, cut)
 
 
 def _certified_bound(p: _ScaledL2, r: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
-    """A lower bound on the scaled optimum over all u from multipliers ``lam`` >= 0 at residuals r, f = ||r_i||^2.
+    """A lower bound on the scaled optimum from multipliers ``lam`` >= 0 at residuals r = M u - beta, f = ||r_i||^2.
 
-    z_i = lam_i r_i is projected off the range of the stacked M_i. Every u'
-    has sum_i <z_i, M_i u' - beta_i> = sum_i <z_i, r_i> + <z, M (u' - u)> <=
-    max_i ||M_i u' - beta_i|| sum_i ||z_i||. At a minimiser u',
-    ||M_i (u' - u)|| <= OPT + ||r_i|| <= c + ||r_i||, c = max_i ||r_i||, so
-    the last term is charged as ||U^T z||, the rounding the projection left,
-    times ||(c + ||r_i||)_i||; neither the box nor beta enters the bound. The
-    rounding of sum_i <z_i, r_i> is charged as 4 r.size eps sum_i ||z_i|| ||r_i||.
+    z_i = lam_i r_i is projected off the range of the stacked M, its own
+    orthonormal columns. Every u' has sum_i <z_i, M_i u' - beta_i> =
+    sum_i <z_i, r_i> + <M^T z, u' - u> <= max_i ||M_i u' - beta_i|| sum_i ||z_i||.
+    At a minimiser u', ||u' - u|| = ||M (u' - u)|| and ||M_i (u' - u)|| <=
+    c + ||r_i||, c = max_i ||r_i||, so the middle term is charged as ||M^T z||,
+    the projection's rounding, times ||(c + ||r_i||)_i||, and the rounding of
+    sum_i <z_i, r_i> as 4 r.size eps sum_i ||z_i|| ||r_i||. The rank cut leaves
+    R_A = U diag(sigma) V + E, so each x in the r* ball, which holds a
+    minimiser, costs at least its whitened cost less ||E||_F r*: ``p.cut``.
     """
+    U = p.M.reshape(r.size, -1)
     z = (lam[:, None] * r).reshape(-1)
-    z -= p.U @ (p.U.T @ z)
+    z -= U @ (U.T @ z)
     norms, root = np.sqrt(np.einsum("ij,ij->i", z.reshape(r.shape), z.reshape(r.shape))), np.sqrt(f)
-    weight, reach, left = float(norms.sum()), root + math.sqrt(float(f.max())), p.U.T @ z
+    weight, reach, left = float(norms.sum()), root + math.sqrt(float(f.max())), U.T @ z
     zr = float(z @ r.reshape(-1)) - 4.0 * r.size * math.ulp(1.0) * float(norms @ root)
-    return (zr - math.sqrt(float(reach @ reach) * float(left @ left))) / weight if weight else 0.0
+    return (zr - math.sqrt(float(reach @ reach) * float(left @ left))) / weight - p.cut if weight else 0.0
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
@@ -262,73 +257,79 @@ def _box_qp(A: np.ndarray, rhs: np.ndarray, lim: np.ndarray, u: np.ndarray):
 def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
     """min max_i ||A_i x - b_i|| over the box, by an active-set Newton ascent on its Lagrange dual.
 
-    In ``p``'s units, with f_i(u) = ||M_i u - beta_i||^2, the dual
-    max_lam g(lam) = min_u sum_i lam_i f_i over the simplex (u in the box) is
+    The problem does not change under x = T u for an invertible T, so it is
+    solved in ``p``'s whitened units, whose stacked M has orthonormal columns:
+    no solve squares A's condition number. With f_i(u) = ||M_i u - beta_i||^2,
+    the dual max_lam g(lam) = min_u sum_i lam_i f_i over the simplex is
     concave with no duality gap (Boyd & Vandenberghe, *Convex Optimization*,
     ch. 5). u solves A u = sum_i lam_i c_i, A = sum_i lam_i G_i, with
-    G_i = M_i^T M_i and c_i = M_i^T beta_i, inside the open box, else by
-    ``_box_qp``; then dg/dlam_i = f_i(u), and the Hessian is -2 J^T A^-1 J,
-    J = [M_i^T r_i]_i, on the free coordinates. The ascent starts at uniform
-    lam (u is the stacked seed), or, past d + 1 groups, where that Hessian is
-    singular, at the seed's worst group's vertex. Each step adds the worst
-    group outside the support S if it is worse than all of S, then moves on
-    S's face.
+    G_i = M_i^T M_i and c_i = M_i^T beta_i; then dg/dlam_i = f_i(u), and the
+    Hessian is -2 J^T A^-1 J, J = [M_i^T r_i]_i. The ascent starts at uniform
+    lam (u is the stacked seed), or, past k + 1 groups for the rank k, where
+    that Hessian is singular, at the seed's worst group's vertex. Each step
+    adds the worst group outside the support S if it is worse than all of S,
+    then moves on S's face. Where a user box binds, ``_box_qp`` solves the
+    point in x's units on D_i = R_Ai / scale, with J = [D_i^T r_i] on its free
+    coordinates. The default box needs no check. Each x = scale V^T (u / sigma)
+    lies in A's row space, where ||x|| <= ||A x|| / sigma_min, and ``best``
+    starts at the seed, whose cost is at most its stacked residual, <= ||b||.
+    So the returned x has ||A x|| <= ||A x - b|| + ||b|| <= sqrt(ell) max_i
+    ||A_i x - b_i|| + ||b|| <= (sqrt(ell) + 1) ||b|| <= ell max_i ||b_i||_1 +
+    ||b||: it lies in the r* ball (``default_box_radius``).
 
     An edge, lam = (1 - mu) e_a + mu e_b, as on two groups, is searched in the
     eigenbasis of its pencil (Golub & Van Loan, *Matrix Computations*, 8.7),
-    factored once per edge: with t_i = tr G_i, P^T (G_a / t_a + G_b / t_b) P = I
-    and P^T G_b P = t_b diag(theta), so u = P ((c'_a + mu (c'_b - c'_a)) / den)
-    with c' = P^T c and den = (1 - mu) t_a (1 - theta) + mu t_b theta, and g''
-    and g''' cost O(d). A singular base takes ``_cholesky``'s shift; a den
-    entry at rounding level, a direction the group at a vertex does not see,
-    takes the quotient's limit in mu. The steps are Halley's, else Newton's,
-    kept in a bracket on g' = f_b - f_a = 0; out of it, a step goes to a vertex
-    that no point has ruled out, else, as from a vertex, to the midpoint. The
-    search stops where the slope falls to SLOPE_RTOL of the largest f_i, where
-    the bracket empties (as at a vertex whose slope points out of the edge),
-    where a group outside the edge is worse than both, or when the budget is
-    spent; only that point is certified. Larger faces take ``face_step``'s
-    damped Newton step up to the first weight it zeroes, whose group leaves S;
-    a step that g rises along by less than an Armijo fraction is retried with
-    ten times the damping. Every face point is certified.
+    factored once per edge: P^T (G_a + G_b) P = I (on two groups G_a + G_b = I)
+    and P^T G_b P = diag(theta), so u = P ((c'_a + mu (c'_b - c'_a)) / den)
+    with c' = P^T c and den = 1 - theta + mu (2 theta - 1), and g'' and g'''
+    cost O(k). A singular base takes ``_cholesky``'s shift; a den entry below
+    PENCIL_RTOL, a direction the group at a vertex does not see, takes the
+    quotient's limit in mu. The steps are Halley's, else Newton's, kept in a
+    bracket on g' = f_b - f_a = 0; out of it, a step goes to a vertex that no
+    point has ruled out, else, as from a vertex, to the midpoint. The search
+    stops where the slope falls to SLOPE_RTOL of the largest f_i, where the
+    bracket empties (as at a vertex whose slope points out of the edge), where
+    a group outside the edge is worse than both, or when the budget is spent;
+    only that point is certified. Larger faces take ``face_step``'s damped
+    Newton step up to the first weight it zeroes, whose group leaves S; a step
+    that g rises along by less than an Armijo fraction is retried with ten
+    times the damping. Every face point is certified.
 
     ``iterations`` counts solves: each edge point, each face point and each
-    retried face step. ``_certified_bound`` meets the cost at the optimum.
-    The ascent stops at a gap of ``eps``, or of GAP_FLOOR relative, after
-    ``max_iters`` solves, or when it stalls (an edge's search ends short of
-    the gap, lam stops changing, no step rises), as when the box cuts off
-    every minimiser. An exact fit returns at once with the trivial bound.
+    retried face step. ``_certified_bound`` meets the cost at the optimum, less
+    the rank cut's charge. The ascent stops at a gap of ``eps``, or of
+    GAP_FLOOR relative, after ``max_iters`` solves, or when it stalls (an
+    edge's search ends short of the gap, lam stops changing, no step rises),
+    as when a user box cuts off every minimiser. An exact fit returns at once.
     """
     p = _scaled_l2(data, labels, delta)
     if p.scale <= p.fit:  # an exact fit: nothing to scale the costs by
         return _solution(data, labels, p.start, 0, "dual-newton", "l2", 0.0)  # the trivial bound OPT >= 0
-    M, beta, lim = p.M, p.beta, p.lim
-    ell, d = data.ell, data.d
+    M, beta, ell, k = p.M, p.beta, data.ell, p.sigma.size
+    lim = None if delta is None else np.full(data.d, delta * (1.0 - 1e-12))  # inside the box after rounding
     G = M.transpose(0, 2, 1) @ M
     c = (beta[:, None, :] @ M)[:, 0]
-    t = np.einsum("ijj->i", G)
-    t[t == 0.0] = 1.0  # an all-zero design block: any scale will do
 
     def pencil(a, b):
-        """(P, t_a (1 - theta), t_b theta - t_a (1 - theta), c'_a, c'_b - c'_a) of the edge (1 - mu) e_a + mu e_b."""
-        H = np.linalg.inv(_cholesky(G[a] / t[a] + G[b] / t[b]))
+        """(P, 1 - theta, 2 theta - 1, c'_a, c'_b - c'_a) of the edge (1 - mu) e_a + mu e_b."""
+        H = np.linalg.inv(_cholesky(G[a] + G[b]))
         B = H @ M[b].T
-        theta, Q = np.linalg.eigh(B @ B.T / t[b])
+        theta, Q = np.linalg.eigh(B @ B.T)
         theta = np.clip(theta, 0.0, 1.0)
         P = H.T @ Q
         ca = P.T @ c[a]
-        return P, t[a] * (1.0 - theta), t[b] * theta - t[a] * (1.0 - theta), ca, P.T @ c[b] - ca
+        return P, 1.0 - theta, 2.0 * theta - 1.0, ca, P.T @ c[b] - ca
 
-    def half(X):
-        """L^-1 X on the current point's free coordinates, for L L^T = A: diag(den)^-1/2 P^T X in an edge's basis."""
-        return np.sqrt(inv)[:, None] * (P.T @ X) if L is None else np.linalg.solve(L, X[free])
+    def half(J):
+        """L^-1 J on the current point's free coordinates, for L L^T = A: diag(den)^-1/2 P^T J in an edge's basis."""
+        return np.sqrt(inv)[:, None] * (P.T @ J) if L is None else np.linalg.solve(L, J[free])
 
     def curvature(S, r):
         """(-g''(mu), g'''(mu)) on the edge S: in its basis h = P^T (J_b - J_a) = dT v - dc and h' = -dT h / den."""
         if L is None and S == edge:
             q = h * h * inv
             return 2.0 * float(q.sum()), 6.0 * float((dT * inv) @ q)
-        y = half((M[S[1]].T @ r[S[1]] - M[S[0]].T @ r[S[0]])[:, None])
+        y = half((D[S[1]].T @ r[S[1]] - D[S[0]].T @ r[S[0]])[:, None])
         return 2.0 * float((y * y).sum()), 0.0  # no third derivative off the basis: a Newton step
 
     def edge_step(S, lam, f, r):
@@ -383,37 +384,40 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
         return nxt, alpha * float(f @ step), tau
 
     lam, S = np.full(ell, 1.0 / ell), list(range(ell))
-    if ell > d + 1:  # the Hessian is singular at uniform lam: start at the vertex of the seed's worst group
-        S = [int(np.sum((M @ (p.start * p.col / p.scale) - beta) ** 2, axis=1).argmax())]
+    if ell > k + 1:  # the Hessian is singular at uniform lam: start at the vertex of the seed's worst group
+        S = [int(np.linalg.norm(M @ (p.sigma * (p.V @ p.start)) / p.scale - beta, axis=1).argmax())]
         lam = np.eye(ell)[S[0]]
-    steps, lower, cost = 0, 0.0, math.inf  # every cost is a norm, so OPT >= 0
+    steps, lower, cost, best = 0, 0.0, 1.0, p.start  # every cost is a norm, so OPT >= 0; the start costs 1
     brackets, pencils, tau = {}, {}, 0.0
     face = None  # a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
-        edge, L, free = (list(S) if len(S) == 2 else None), None, slice(None)  # every coordinate free
-        if edge:  # O(d^2) in the edge's basis: u = P v
+        edge, L, free, D = (list(S) if len(S) == 2 else None), None, slice(None), M  # every coordinate free
+        if edge:  # O(k^2) in the edge's basis: u = P v
             if tuple(S) not in pencils:
                 pencils[tuple(S)] = pencil(*S)
             P, Ta, dT, ca, dc = pencils[tuple(S)]
             mu = lam[S[1]]
             den = Ta + mu * dT
-            flat = den <= PENCIL_RTOL * ((1.0 - mu) * t[S[0]] + mu * t[S[1]])
+            flat = den <= PENCIL_RTOL
             inv = 1.0 / np.where(flat, 1.0, den)
             v = (ca + mu * dc) * inv
             if flat.any():  # directions unseen at mu take the quotient's limit in mu, along which g does not bend
                 inv[flat], v[flat] = 0.0, dc[flat] / dT[flat]
             u, h = P @ v, dT * v - dc
         else:
-            L = _cholesky((lam @ G.reshape(ell, -1)).reshape(d, d))
+            L = _cholesky((lam @ G.reshape(ell, -1)).reshape(k, k))
             u = np.linalg.solve(L.T, np.linalg.solve(L, lam @ c))
-        if not np.all(np.abs(u) < lim):
-            u, free, L = _box_qp((lam @ G.reshape(ell, -1)).reshape(d, d), lam @ c, lim, u)
+        x = p.V.T @ (u / p.sigma) * p.scale
+        if lim is not None and not np.all(np.abs(x) < lim):  # the user box binds: solve there in x's units
+            D = labels.augmented_r(data)[:, :, : data.d] / p.scale  # J is read on the design in x's units
+            x, free, L = _box_qp(np.einsum("i,ijk,ijl->kl", lam, D, D), np.einsum("i,ijk,ij->k", lam, D, beta), lim, x)
+            u = p.sigma * (p.V @ x) / p.scale
         r = M @ u - beta
         f = np.sum(r * r, axis=1)
         worst = math.sqrt(float(f.max()))
         if worst < cost:
-            cost, best = worst, u
+            cost, best = worst, x
         if edge:
             nxt = edge_step(S, lam, f, r)
             if nxt is not None:
@@ -439,7 +443,7 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
             if f[j] > f[S].max():
                 S.append(j)
         if len(S) >= 3:
-            W = half(np.einsum("ijk,ij->ik", M[S], r[S]).T)
+            W = half(np.einsum("ijk,ij->ik", D[S], r[S]).T)
             nxt, rise, tau = face_step(lam, f, W, S, tau)
             if not rise > 0.0 or np.array_equal(nxt, lam):
                 break  # lam no longer changes
@@ -450,7 +454,7 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
         lam = edge_step(S, lam, f, r)  # a new edge's first step, from this point
         if lam is None:
             break
-    return _solution(data, labels, best * p.scale / p.col, steps, "dual-newton", "l2", lower * p.scale)
+    return _solution(data, labels, best, steps, "dual-newton", "l2", lower * p.scale)
 
 
 def _max_step(a: np.ndarray, da: np.ndarray) -> float:
@@ -672,13 +676,10 @@ def minmax_subgradient(
 
     * L2 runs a Newton ascent on the Lagrange dual max_lam min_x
       sum_i lam_i f_i over the simplex of group weights, f_i the squared
-      group costs (``_minmax_l2``, method "dual-newton"), for every number
-      of groups; on two groups it is a safeguarded Halley search on mu in
-      lam = (1 - mu, mu), in the eigenbasis of the pair's Gram matrices and
-      to rounding level whatever ``eps``. ``iterations`` counts its weighted
-      least-squares solves, one per point and one per retried step. Each
-      point on a face of three or more groups is certified, an edge's search
-      only where it ends.
+      group costs, in the stacked design's orthonormal basis (``_minmax_l2``,
+      method "dual-newton"), on two groups a safeguarded Halley search to
+      rounding level whatever ``eps``; ``iterations`` counts its weighted
+      least-squares solves, one per point and one per retried step.
     * L1 runs Mehrotra's primal-dual interior-point method on the linear
       program (``_minmax_l1_ipm``, method "interior-point"); ``iterations``
       counts interior-point iterations.
@@ -686,15 +687,14 @@ def minmax_subgradient(
     Each stops once the gap is at most ``eps``, an absolute cost tolerance
     (``binary_search_fair_regression`` reads its ``eps`` as a relative step),
     at a precision floor near a relative gap of 1e-9, or after ``max_iters``
-    iterations in all; L2 also stops when its ascent stalls, which is where
-    it ends when the box cuts off every minimiser and the gap cannot close.
-    An exact fit inside the box returns at once with none. All start from
-    the stacked least-squares seed clipped into the box (the L2 ascent from
-    uniform weights, whose solve is that seed), take no other start point,
-    and keep their iterates strictly inside the box. An unset radius is
-    ``default_box_radius``'s r* = (ell max_i ||b_i||_1 + ||b||) / sigma_min,
-    proven in ``_minmax_l1_ipm`` to hold a minimiser; unlike ``eps``, it scales
-    with the data. ``eps`` and ``box_delta`` must be positive and finite.
+    iterations in all; L2 also stops when its ascent stalls, as when the box
+    cuts off every minimiser. An exact fit inside the box returns at once.
+    All start from the stacked least-squares seed clipped into the box and
+    return a point strictly inside it. An unset radius is r* =
+    (ell max_i ||b_i||_1 + ||b||) / sigma_min (``default_box_radius``), which
+    holds a minimiser and, unlike ``eps``, scales with the data. Both norms
+    read the design at ``linalg.svd``'s rank; L2's ``gap`` charges what that
+    cut drops. ``eps`` and ``box_delta`` must be positive and finite.
     """
     labels.validate_against(data)
     if norm not in ("l1", "l2"):

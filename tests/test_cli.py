@@ -99,6 +99,22 @@ def test_regress_is_unmoved_by_a_tiny_feature_scale(tmp_path, capsys, norm):
     assert printed[0] == printed[1] and len(printed[0]) == 1
 
 
+def test_regress_is_unmoved_by_a_near_collinear_feature(tmp_path, capsys):
+    # b = a + 1e-8 c spans the plane of (a, c) at a condition near 4e8: the normal equations printed 13.0651
+    rng = np.random.default_rng(0)
+    A = np.round(rng.uniform(0.0, 5.0, (12, 2)), 1)
+    y = np.round(A @ np.array([1.0, -2.0]) + rng.standard_normal(12) * np.where(np.arange(12) < 6, 3.0, 0.1), 2)
+    printed = []
+    for second in (A[:, 1], A[:, 0] + 1e-8 * A[:, 1]):
+        path = tmp_path / "collinear.csv"
+        rows = zip(A[:, 0].tolist(), second.tolist(), y.tolist(), "m" * 6 + "f" * 6)
+        path.write_text("a,b,y,grp\n" + "".join(f"{a!r},{b!r},{t!r},{g}\n" for a, b, t, g in rows))
+        rc = main(["regress", str(path), "--group-col", "grp", "--features", "a,b", "--label-col", "y", "--eps", "1e-9"])
+        assert rc == 0
+        printed.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("max cost:")])
+    assert printed[0] == printed[1] == ["max cost: 3.11639"]
+
+
 def test_lra_prints_the_solution_cost(grouped_csv, capsys):
     data, _ = ingest_csv(IngestSpec(path=grouped_csv, group_col="grp", seed=4))
     sol = bicriteria_fair_lra(data, BicriteriaConfig(k=1, seed=4))

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from fairsketch import regression
 from fairsketch.grouped import GroupedLabels, GroupedMatrix, fair_regression_cost
+from fairsketch.linalg import RANK_RTOL
 from fairsketch.regression import (
     binary_search_fair_regression,
     default_box_radius,
@@ -749,6 +752,84 @@ class TestScaleInvariance:
         data, labels = make([np.ones((2, 2)), np.eye(2)], [np.zeros(2), np.zeros(2)])
         for sol in (minmax_subgradient(data, labels, norm=norm), binary_search_fair_regression(data, labels, norm)):
             assert sol.iterations == 0 and sol.max_cost == 0.0 and sol.gap == 0.0
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def credit_inputs():
+    """``perfbench/inputs.py``, the benchmark's seeded credit-shaped generators (numpy only), loaded from its path."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def credit_transformed(ell, cond):
+    """ell groups of 400 credit-shaped rows in R^8, planted targets, and the designs times T = Q1 diag(s) Q2 with
+    s = logspace(0, -log10(cond), 8): (untransformed, transformed) instances with the same optimum."""
+    inputs = credit_inputs()
+    groups = inputs.credit_groups(np.random.default_rng(11), sizes=(400,) * ell, d=8)
+    targets = inputs.planted_targets(np.random.default_rng(11), groups)
+    rng = np.random.default_rng(5)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((8, 8)))[0] for _ in range(2))
+    T = q1 @ np.diag(np.logspace(0.0, -math.log10(cond), 8)) @ q2
+    return make(groups, targets), make([g @ T for g in groups], targets)
+
+
+class TestWhitenedBasis:
+    """The L2 solver works in the stacked design's orthonormal basis: x -> T x leaves its answer, one SVD a solve."""
+
+    @pytest.mark.parametrize("ell, cond", [(2, 1e4), (2, 1e6), (3, 1e4), (3, 1e6), (3, 1e8)])
+    def test_column_transform_leaves_the_optimum(self, ell, cond):
+        # the normal equations on column-scaled R factors squared cond(T): up to +74% above the optimum
+        plain, transformed = credit_transformed(ell, cond)
+        ref = minmax_subgradient(*plain, eps=1e-9)
+        sol = minmax_subgradient(*transformed, eps=1e-9)
+        assert sol.max_cost == pytest.approx(ref.max_cost, rel=1e-6, abs=0.0)
+        assert sol.gap <= 1e-6 * sol.max_cost and sol.iterations <= 10
+
+    def test_transform_past_the_rank_cut_is_certified(self):
+        # at ell = 2 and cond(T) = 1e8 the design's sigma_min / sigma_max is 8.8e-11, so linalg.svd keeps rank 7,
+        # as the L1 solver does: the rank-7 optimum is 27% above the full one, and the gap charges the cut
+        plain, transformed = credit_transformed(2, 1e8)
+        s = np.linalg.svd(np.vstack(transformed[0].groups), compute_uv=False)
+        assert s[-1] <= RANK_RTOL * s[0]
+        ref = minmax_subgradient(*plain, eps=1e-9)
+        sol = minmax_subgradient(*transformed, eps=1e-9)
+        assert sol.max_cost - sol.gap <= ref.max_cost and sol.iterations <= 10
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "split"])
+    def test_near_collinear_design_closes(self, shared):
+        # a fourth column the first plus 1e-7 noise (cond ~2e7) left gaps up to 4% of the cost on the normal equations
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((60, 4))
+            A[:, 3] = A[:, 0] + 1e-7 * rng.standard_normal(60)
+            b = A @ rng.standard_normal(4) + rng.standard_normal(60)
+            if shared:
+                groups, targets = [A] * 3, [b, b + rng.standard_normal(60), b - rng.standard_normal(60)]
+            else:
+                groups, targets = [A[:20], A[20:40], A[40:]], [b[:20], b[20:40], b[40:]]
+            sol = minmax_subgradient(*make(groups, targets), eps=1e-12)
+            assert sol.gap <= 1e-9 * sol.max_cost, f"seed {seed}"
+
+    def test_one_svd_per_solve(self, monkeypatch):
+        # the seed, sigma_min, the certificate's range and the solve share one SVD; the stacked seed adds one
+        calls, real_svd = Counter(), np.linalg.svd
+
+        def svd(*args, **kwargs):
+            calls["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for ell in (2, 3):
+            data, labels = make(*planted_groups(np.random.default_rng(ell), ell, 5))
+            for solve, count in ((lambda: minmax_subgradient(data, labels, eps=1e-9), 1),
+                                 (lambda: binary_search_fair_regression(data, labels), 2)):
+                calls.clear()
+                solve()
+                assert calls["svd"] == count, f"ell {ell}"
 
 
 class TestFeasibilityExports:
