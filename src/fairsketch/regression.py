@@ -43,7 +43,7 @@ from .grouped import (
     fair_regression_cost,
     fair_regression_group_costs,
 )
-from .linalg import RANK_RTOL, as_vector, pseudoinverse, svd
+from .linalg import RANK_RTOL, as_vector, svd
 
 INTERIOR = 0.99  # start points are clipped to this fraction of the box
 REGULARISE = 1e-14  # diagonal shift, relative to the top entry, that keeps a singular Newton matrix's pivots positive
@@ -106,17 +106,19 @@ def _solution(data, labels, x, iterations, method, norm, lower) -> RegressionSol
 
 
 def _stacked_fit(data: GroupedMatrix, labels: GroupedLabels):
-    """(R, sv, x): R = ``labels.augmented_r(data)``, the rank-cut (``linalg.svd``) SVD U diag(sigma) V of its stacked
-    design blocks R_A, which has A's singular values, and x = V^T (U^T r_b) / sigma = pinv(A) b. Every L2 path reads it.
+    """(R, U, s, V, k, x): R = ``labels.augmented_r(data)``, U diag(s) V the thin SVD of its stacked design blocks R_A,
+    which has A's singular values, k the rank ``linalg.svd`` keeps (s_j > RANK_RTOL s_0) and x = V_k^T (U_k^T r_b) /
+    s_k = pinv(A) b at that rank. Every L2 path reads it.
     """
-    R = labels.augmented_r(data)
-    sv = svd(R[:, :, : data.d].reshape(-1, data.d))
-    return R, sv, sv.V.T @ ((sv.U.T @ R[:, :, data.d].reshape(-1)) / sv.sigma)
+    R, d = labels.augmented_r(data), data.d
+    U, s, V = np.linalg.svd(R[:, :, :d].reshape(-1, d), full_matrices=False)
+    k = int(np.sum(s > RANK_RTOL * s[0]))
+    return R, U, s, V, k, V[:k].T @ ((U[:, :k].T @ R[:, :, d].reshape(-1)) / s[:k])
 
 
 def stacked_least_squares(data: GroupedMatrix, labels: GroupedLabels) -> RegressionSolution:
     """Least squares on the stacked system (``_stacked_fit``); its worst-group L2 cost is at most ell times OPT."""
-    return _solution(data, labels, _stacked_fit(data, labels)[2], 0, "stacked", "l2", -math.inf)
+    return _solution(data, labels, _stacked_fit(data, labels)[5], 0, "stacked", "l2", -math.inf)
 
 
 def fair_regression_subgradient(data: GroupedMatrix, labels: GroupedLabels, x, norm: str = "l2"):
@@ -142,24 +144,23 @@ def _radius(sigma: np.ndarray, targets) -> float:
 
 
 def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
-    """r* = (ell max_i ||b_i||_1 + ||b||) / sigma_min: a ball about 0 of this radius holds a minimiser in both norms.
+    """r* = (ell max_i ||b_i||_1 + ||b||) / sigma_min: a ball about 0 of this radius holds a minimiser in both norms
+    of the design at ``linalg.svd``'s rank, whose least singular value is sigma_min (``_stacked_fit``'s k-th).
 
-    sigma_min is the least singular value above RANK_RTOL sigma_max (the rank ``linalg.svd`` keeps) of the stack
-    of ``labels.augmented_r(data)``'s design blocks, which has the stacked design's singular values. The proof is
-    ``_minmax_l1_ipm``'s: a minimiser lies in A's row space, where ||x|| <= ||A x|| / sigma_min, and there ||A x||
-    is at most ell OPT_1 + ||b|| (in L2, sqrt(ell) OPT_2 + ||b||), and OPT <= max_i ||b_i||_1 at x = 0. r* scales
-    as x does.
+    The proof is ``_minmax_l1_ipm``'s: a minimiser lies in A's row space, where ||x|| <= ||A x|| / sigma_min, and
+    there ||A x|| is at most ell OPT_1 + ||b|| (in L2, sqrt(ell) OPT_2 + ||b||), and OPT <= max_i ||b_i||_1 at x = 0.
     """
-    s = np.linalg.svd(labels.augmented_r(data)[:, :, : data.d].reshape(-1, data.d), compute_uv=False)
-    return _radius(s[s > RANK_RTOL * s[0]], labels.targets)
+    _, _, s, _, k, _ = _stacked_fit(data, labels)
+    return _radius(s[:k], labels.targets)
 
 
 @dataclass(frozen=True)
 class _ScaledL2:
     """The L2 problem in its solver's units: r_i = M_i u - beta_i, with x = scale V^T (u / sigma).
 
-    M_i is group i's block of U in ``_stacked_fit``'s SVD U diag(sigma) V, beta_i R_i's target column over ``scale``,
-    the worst-group cost of ``start`` (the seed clipped into the box); ``fit`` bounds an exact fit's cost.
+    M_i is group i's block of U_k in ``_stacked_fit``'s SVD U diag(s) V, beta_i R_i's target column over ``scale``,
+    the worst-group cost of ``start`` (the seed clipped into the box); ``fit`` bounds an exact fit's cost. ``cert``
+    holds what ``_certified_bound`` reads.
     """
 
     M: np.ndarray
@@ -169,44 +170,58 @@ class _ScaledL2:
     start: np.ndarray
     scale: float
     fit: float
-    cut: float
+    cert: tuple
 
 
 def _scaled_l2(data, labels, delta) -> _ScaledL2:
-    """``_ScaledL2`` from ``_stacked_fit``; a ``delta`` of None sets no box, and a full rank no cut charge."""
+    """``_ScaledL2`` from ``_stacked_fit``; a ``delta`` of None sets no box.
+
+    ``cert`` is R_A, |R_A| and b in extended precision, U, s and V cut to m >= k, low and tail. LAPACK's SVD is
+    exact for a design within nu = 4 rows eps s_0 of R_A: singular values up to 2 nu are read as zero, R_A's m
+    others are at least low = s_m - nu, and what is read as zero is at most tail = s_m+1 + nu.
+    """
     d = data.d
-    R, sv, seed = _stacked_fit(data, labels)
+    R, U, s, V, k, seed = _stacked_fit(data, labels)
     bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
     start = seed if delta is None else np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
     scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
     unit = scale if scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
     # an exact fit's residual is the rounding of A x - b, about (d + 1) eps ||A||_F ||x|| at most
-    fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(sv.sigma) * np.linalg.norm(start)
-    E = R[:, :, :d].reshape(-1, d) - (sv.U * sv.sigma) @ sv.V
-    cut = float(np.linalg.norm(E)) * _radius(sv.sigma, labels.targets) / unit if sv.rank < d else 0.0
-    return _ScaledL2(sv.U.reshape(data.ell, d + 1, sv.rank), R[:, :, d] / unit, sv.sigma, sv.V, start, scale, fit, cut)
+    fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(s[:k]) * np.linalg.norm(start)
+    nu = 4.0 * len(U) * math.ulp(1.0) * s[0]
+    m = max(k, int(np.sum(s > 2.0 * nu)))
+    low, tail = s[m - 1] - nu if m else math.inf, s[m] + nu if m < d else 0.0  # a zero design: 0 is a minimiser
+    wide = R.reshape(-1, d + 1).astype(np.longdouble)
+    cert = (wide[:, :d], np.abs(wide[:, :d]), wide[:, d], U[:, :m], s[:m], V[:m], low, tail)
+    return _ScaledL2(U[:, :k].reshape(data.ell, d + 1, k), R[:, :, d] / unit, s[:k], V[:k], start, scale, fit, cert)
 
 
-def _certified_bound(p: _ScaledL2, r: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
-    """A lower bound on the scaled optimum from multipliers ``lam`` >= 0 at residuals r = M u - beta, f = ||r_i||^2.
+def _certified_bound(p: _ScaledL2, x: np.ndarray, lam: np.ndarray, cost: float) -> float:
+    """A lower bound on the scaled optimum from multipliers ``lam`` >= 0 at x, where some point costs ``cost``.
 
-    z_i = lam_i r_i is projected off the range of the stacked M, its own
-    orthonormal columns. Every u' has sum_i <z_i, M_i u' - beta_i> =
-    sum_i <z_i, r_i> + <M^T z, u' - u> <= max_i ||M_i u' - beta_i|| sum_i ||z_i||.
-    At a minimiser u', ||u' - u|| = ||M (u' - u)|| and ||M_i (u' - u)|| <=
-    c + ||r_i||, c = max_i ||r_i||, so the middle term is charged as ||M^T z||,
-    the projection's rounding, times ||(c + ||r_i||)_i||, and the rounding of
-    sum_i <z_i, r_i> as 4 r.size eps sum_i ||z_i|| ||r_i||. The rank cut leaves
-    R_A = U diag(sigma) V + E, so each x in the r* ball, which holds a
-    minimiser, costs at least its whitened cost less ||E||_F r*: ``p.cut``.
+    z_i = lam_i (A_i x - b_i) on R_A gives max_i ||A_i x' - b_i|| sum_i ||z_i||
+    >= <A^T z, x'> - <z, b> for every x', rank cut directions too. Two steps
+    z -= U diag(1/s) V A^T z, in extended precision, take z to A's left null
+    space past the SVD's rounding. A minimiser x* has ||x*|| <= ||A x*|| / low
+    <= (sqrt(ell) OPT + ||b||) / low, the reach that ||A^T z|| + tail ||z|| and
+    the rounding rows eps' || |A|^T |z| || are charged against (eps', the
+    epsilon); <z, b> is charged rows eps' |z|^T |b|, and the double-precision
+    costs the bound is read against 4 rows eps sum_i lam_i ||r_i||^2.
     """
-    U = p.M.reshape(r.size, -1)
+    A, size, b, U, s, V, low, tail = p.cert  # np.dot, not @: numpy's matmul loop is slow on extended precision
+    r = (np.dot(A, x) - b).reshape(lam.size, -1)
     z = (lam[:, None] * r).reshape(-1)
-    z -= U @ (U.T @ z)
-    norms, root = np.sqrt(np.einsum("ij,ij->i", z.reshape(r.shape), z.reshape(r.shape))), np.sqrt(f)
-    weight, reach, left = float(norms.sum()), root + math.sqrt(float(f.max())), U.T @ z
-    zr = float(z @ r.reshape(-1)) - 4.0 * r.size * math.ulp(1.0) * float(norms @ root)
-    return (zr - math.sqrt(float(reach @ reach) * float(left @ left))) / weight - p.cut if weight else 0.0
+    for _ in range(2):
+        z -= U @ ((V @ np.dot(z, A).astype(np.float64)) / s)
+    y, groups, spill = np.dot(z, A), z.reshape(lam.size, -1), np.dot(np.abs(z), size)  # |fl(y) - A^T z| <= gamma spill
+    weight = float(np.sqrt(np.einsum("ij,ij->i", groups, groups)).sum())
+    if not weight or not low > 0.0:
+        return 0.0
+    gamma, rounding = len(b) * float(np.finfo(np.longdouble).eps), 4.0 * len(b) * math.ulp(1.0)
+    reach = (math.sqrt(lam.size) * cost * p.scale + float(np.sqrt(b @ b))) / low
+    lead = -float(z @ b) - gamma * float(np.abs(z) @ np.abs(b)) - rounding * float(lam @ np.einsum("ij,ij->i", r, r))
+    leak = (float(np.sqrt(y @ y)) + tail * float(np.sqrt(z @ z)) + gamma * float(np.sqrt(spill @ spill))) * reach
+    return (lead - leak) / (weight * (1.0 + gamma) * p.scale)
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
@@ -270,12 +285,10 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
     adds the worst group outside the support S if it is worse than all of S,
     then moves on S's face. Where a user box binds, ``_box_qp`` solves the
     point in x's units on D_i = R_Ai / scale, with J = [D_i^T r_i] on its free
-    coordinates. The default box needs no check. Each x = scale V^T (u / sigma)
-    lies in A's row space, where ||x|| <= ||A x|| / sigma_min, and ``best``
-    starts at the seed, whose cost is at most its stacked residual, <= ||b||.
-    So the returned x has ||A x|| <= ||A x - b|| + ||b|| <= sqrt(ell) max_i
-    ||A_i x - b_i|| + ||b|| <= (sqrt(ell) + 1) ||b|| <= ell max_i ||b_i||_1 +
-    ||b||: it lies in the r* ball (``default_box_radius``).
+    coordinates. The default box needs no check: each x = scale V^T (u / sigma)
+    lies in A's row space, and ``best`` costs at most the seed, <= ||b||, so
+    ||A x|| <= (sqrt(ell) + 1) ||b|| <= ell max_i ||b_i||_1 + ||b||: x lies in
+    the r* ball.
 
     An edge, lam = (1 - mu) e_a + mu e_b, as on two groups, is searched in the
     eigenbasis of its pencil (Golub & Van Loan, *Matrix Computations*, 8.7),
@@ -296,8 +309,8 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
     times the damping. Every face point is certified.
 
     ``iterations`` counts solves: each edge point, each face point and each
-    retried face step. ``_certified_bound`` meets the cost at the optimum, less
-    the rank cut's charge. The ascent stops at a gap of ``eps``, or of
+    retried face step. ``_certified_bound`` bounds R_A's optimum over all x,
+    the rank cut's directions too. The ascent stops at a gap of ``eps``, or of
     GAP_FLOOR relative, after ``max_iters`` solves, or when it stalls (an
     edge's search ends short of the gap, lam stops changing, no step rises),
     as when a user box cuts off every minimiser. An exact fit returns at once.
@@ -388,7 +401,7 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
         S = [int(np.linalg.norm(M @ (p.sigma * (p.V @ p.start)) / p.scale - beta, axis=1).argmax())]
         lam = np.eye(ell)[S[0]]
     steps, lower, cost, best = 0, 0.0, 1.0, p.start  # every cost is a norm, so OPT >= 0; the start costs 1
-    brackets, pencils, tau = {}, {}, 0.0
+    brackets, pencils, tau, boxed = {}, {}, 0.0, None
     face = None  # a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
@@ -410,8 +423,11 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
             u = np.linalg.solve(L.T, np.linalg.solve(L, lam @ c))
         x = p.V.T @ (u / p.sigma) * p.scale
         if lim is not None and not np.all(np.abs(x) < lim):  # the user box binds: solve there in x's units
-            D = labels.augmented_r(data)[:, :, : data.d] / p.scale  # J is read on the design in x's units
-            x, free, L = _box_qp(np.einsum("i,ijk,ijl->kl", lam, D, D), np.einsum("i,ijk,ij->k", lam, D, beta), lim, x)
+            if boxed is None:  # the design in x's units, D_i = R_Ai / scale, its Grams and D_i^T beta_i
+                Dx = labels.augmented_r(data)[:, :, : data.d] / p.scale
+                boxed = Dx, (Dx.transpose(0, 2, 1) @ Dx).reshape(ell, -1), (beta[:, None, :] @ Dx)[:, 0]
+            D = boxed[0]  # J is read on the design in x's units
+            x, free, L = _box_qp((lam @ boxed[1]).reshape(data.d, data.d), lam @ boxed[2], lim, x)
             u = p.sigma * (p.V @ x) / p.scale
         r = M @ u - beta
         f = np.sum(r * r, axis=1)
@@ -423,7 +439,7 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
             if nxt is not None:
                 lam = nxt
                 continue
-        lower = max(lower, _certified_bound(p, r, f, lam))
+        lower = max(lower, _certified_bound(p, x, lam, cost))
         if (cost - lower) * p.scale <= eps or cost - lower <= GAP_FLOOR * cost:
             break
         if face is not None:  # keep the trial point if g rose enough, else retry with more damping
@@ -693,8 +709,9 @@ def minmax_subgradient(
     return a point strictly inside it. An unset radius is r* =
     (ell max_i ||b_i||_1 + ||b||) / sigma_min (``default_box_radius``), which
     holds a minimiser and, unlike ``eps``, scales with the data. Both norms
-    read the design at ``linalg.svd``'s rank; L2's ``gap`` charges what that
-    cut drops. ``eps`` and ``box_delta`` must be positive and finite.
+    solve the design at ``linalg.svd``'s rank. L2's ``gap`` bounds the full
+    design's optimum, singular values below its SVD's rounding read as zero;
+    L1's, the cut design's. ``eps`` and ``box_delta`` must be positive and finite.
     """
     labels.validate_against(data)
     if norm not in ("l1", "l2"):

@@ -791,7 +791,8 @@ class TestWhitenedBasis:
 
     def test_transform_past_the_rank_cut_is_certified(self):
         # at ell = 2 and cond(T) = 1e8 the design's sigma_min / sigma_max is 8.8e-11, so linalg.svd keeps rank 7,
-        # as the L1 solver does: the rank-7 optimum is 27% above the full one, and the gap charges the cut
+        # as the L1 solver does: the rank-7 optimum is 27% above the full one, and the certificate leaves the cut
+        # direction free, so the gap says so
         plain, transformed = credit_transformed(2, 1e8)
         s = np.linalg.svd(np.vstack(transformed[0].groups), compute_uv=False)
         assert s[-1] <= RANK_RTOL * s[0]
@@ -813,6 +814,33 @@ class TestWhitenedBasis:
                 groups, targets = [A[:20], A[20:40], A[40:]], [b[:20], b[20:40], b[40:]]
             sol = minmax_subgradient(*make(groups, targets), eps=1e-12)
             assert sol.gap <= 1e-9 * sol.max_cost, f"seed {seed}"
+
+    def test_direction_below_the_rank_cut_is_not_certified_away(self):
+        # A_2's only direction sits 1e-11 below A_1's, under the rank cut: x = (1, 1e11) fits both groups, so OPT = 0,
+        # while the cut design's optimum is 1
+        data, labels = make([np.array([[1.0, 0.0]]), np.array([[0.0, 1e-11]])], [np.array([1.0]), np.array([1.0])])
+        sol = minmax_subgradient(data, labels, eps=1e-9)
+        assert sol.max_cost == pytest.approx(1.0) and sol.max_cost - sol.gap <= 1e-12
+
+    def test_certificate_holds_on_column_mixed_designs(self):
+        # designs times T of condition 1e7: the optimum is the untransformed one's, reached at T^-1 y. The bound is
+        # held against that point's and the solve's own cost on the R stack in extended precision; a certificate
+        # that ignored the SVD's backward error rose above them by up to 1e-9 of the cost
+        rng, worst = np.random.default_rng(418), -math.inf
+        for i in range(60):
+            d = int(rng.integers(2, 5))
+            groups, targets = random_grouped(rng, 2, d, max_rows=2 * d + 2)
+            q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+            T = q1 @ np.diag(np.logspace(0.0, -7.0, d)) @ q2
+            mixed = make([g @ T for g in groups], targets)
+            sol = minmax_subgradient(*mixed, eps=1e-9)
+            R = mixed[1].augmented_r(mixed[0]).astype(np.longdouble)
+            y = minmax_subgradient(*make(groups, targets), eps=1e-9).x
+            for x in (np.linalg.solve(T, y), sol.x):
+                cost = float(np.linalg.norm(R @ np.append(x, -1.0).astype(np.longdouble), axis=1).max())
+                worst = max(worst, (sol.max_cost - sol.gap - cost) / cost)
+                assert sol.max_cost - sol.gap <= cost, f"instance {i}"
+        assert worst > -1e-6  # the bound is tight as well as sound
 
     def test_one_svd_per_solve(self, monkeypatch):
         # the seed, sigma_min, the certificate's range and the solve share one SVD; the stacked seed adds one
