@@ -154,49 +154,129 @@ def default_box_radius(data: GroupedMatrix, labels: GroupedLabels) -> float:
     return _radius(s[:k], labels.targets)
 
 
-@dataclass(frozen=True)
-class _ScaledL2:
-    """The L2 problem in its solver's units: r_i = M_i u - beta_i, with x = scale V^T (u / sigma).
+class _WhitenedL2:
+    """``_ascend``'s oracle for min max_i ||A_i x - b_i|| over the box, in units x = scale V^T (u / sigma).
 
-    M_i is group i's block of U_k in ``_stacked_fit``'s SVD U diag(s) V, beta_i R_i's target column over ``scale``,
-    the worst-group cost of ``start`` (the seed clipped into the box); ``fit`` bounds an exact fit's cost. ``cert``
-    holds what ``_certified_bound`` reads.
+    The problem does not change under x = T u for an invertible T; in these
+    units the stacked M of r_i = M_i u - beta_i has orthonormal columns, so no
+    solve squares A's condition number. M_i is group i's block of U_k in
+    ``_stacked_fit``'s SVD U diag(s) V, beta_i R_i's target column over
+    ``scale``, the worst-group cost of ``start`` (the seed clipped into the
+    box); ``fit`` bounds an exact fit's cost. With f_i(u) = ||M_i u - beta_i||^2,
+    the dual g(lam) = min_u sum_i lam_i f_i has no duality gap (Boyd &
+    Vandenberghe, *Convex Optimization*, ch. 5). u solves A u = sum_i lam_i c_i,
+    A = sum_i lam_i G_i, with G_i = M_i^T M_i and c_i = M_i^T beta_i, and
+    W = L^-1 J for L L^T = A and J = [M_i^T r_i]_i. ``weights`` is uniform (u
+    is the stacked seed), or, past k + 1 groups for the rank k, where W^T W is
+    singular, the seed's worst group's vertex. Where a user box binds,
+    ``_box_qp`` solves the point in x's units on D_i = R_Ai / scale, with
+    J = [D_i^T r_i] on its free coordinates. The default box needs no check:
+    each x = scale V^T (u / sigma) lies in A's row space, and the ascent's best
+    point costs at most the seed, <= ||b||, so ||A x|| <= (sqrt(ell) + 1) ||b||
+    <= ell max_i ||b_i||_1 + ||b||: x lies in the r* ball.
+
+    An edge, lam = (1 - mu) e_a + mu e_b, is solved in the eigenbasis of its
+    pencil (Golub & Van Loan, *Matrix Computations*, 8.7), factored once per
+    edge: P^T (G_a + G_b) P = I (on two groups G_a + G_b = I) and
+    P^T G_b P = diag(theta), so u = P ((c'_a + mu (c'_b - c'_a)) / den) with
+    c' = P^T c and den = 1 - theta + mu (2 theta - 1), and g'' and g''' cost
+    O(k). A singular base takes ``_cholesky``'s shift; a den entry below
+    PENCIL_RTOL, a direction the group at a vertex does not see, takes the
+    quotient's limit in mu. Larger supports take ``_cholesky``.
+
+    ``cert`` holds what ``_certified_bound`` reads: R_A, |R_A| and b in extended
+    precision, U, s and V cut to m >= k, low and tail. LAPACK's SVD is exact for
+    a design within nu = 4 rows eps s_0 of R_A: singular values up to 2 nu are
+    read as zero, R_A's m others are at least low = s_m - nu, and what is read
+    as zero is at most tail = s_m+1 + nu. A ``delta`` of None sets no box.
     """
 
-    M: np.ndarray
-    beta: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-    start: np.ndarray
-    scale: float
-    fit: float
-    cert: tuple
+    def __init__(self, data, labels, delta):
+        d, ell = data.d, data.ell
+        R, U, s, V, k, seed = _stacked_fit(data, labels)
+        bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
+        self.start = seed if delta is None else np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
+        self.scale = float(np.linalg.norm(R[:, :, :d] @ self.start - R[:, :, d], axis=1).max())
+        unit = self.scale if self.scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
+        # an exact fit's residual is the rounding of A x - b, about (d + 1) eps ||A||_F ||x|| at most
+        self.fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(s[:k]) * np.linalg.norm(self.start)
+        nu = 4.0 * len(U) * math.ulp(1.0) * s[0]
+        m = max(k, int(np.sum(s > 2.0 * nu)))
+        low, tail = s[m - 1] - nu if m else math.inf, s[m] + nu if m < d else 0.0  # a zero design: 0 is a minimiser
+        wide = R.reshape(-1, d + 1).astype(np.longdouble)
+        self.cert = (wide[:, :d], np.abs(wide[:, :d]), wide[:, d], U[:, :m], s[:m], V[:m], low, tail)
+        self.M, self.beta, self.sigma, self.V = U[:, :k].reshape(ell, d + 1, k), R[:, :, d] / unit, s[:k], V[:k]
+        self.G = self.M.transpose(0, 2, 1) @ self.M
+        self.c = (self.beta[:, None, :] @ self.M)[:, 0]
+        self.weights = np.full(ell, 1.0 / ell) if ell <= k + 1 else np.eye(ell)[int(np.linalg.norm(
+            self.M @ (self.sigma * (self.V @ self.start)) / unit - self.beta, axis=1).argmax())]
+        self.lim = None if delta is None else np.full(d, delta * (1.0 - 1e-12))  # inside the box after rounding
+        self.R, self.boxed, self.pencils = R, None, {}
+
+    def _pencil(self, a, b):
+        """(P, 1 - theta, 2 theta - 1, c'_a, c'_b - c'_a) of the edge (1 - mu) e_a + mu e_b."""
+        H = np.linalg.inv(_cholesky(self.G[a] + self.G[b]))
+        B = H @ self.M[b].T
+        theta, Q = np.linalg.eigh(B @ B.T)
+        theta = np.clip(theta, 0.0, 1.0)
+        P = H.T @ Q
+        ca = P.T @ self.c[a]
+        return P, 1.0 - theta, 2.0 * theta - 1.0, ca, P.T @ self.c[b] - ca
+
+    def point(self, lam, edge):
+        """(x, f): x minimises sum_i lam_i f_i over the box, f_i = dg/dlam_i; an ``edge`` (a, b) takes its basis.
+
+        The point's factor stays for ``curvature`` and ``root``.
+        """
+        M, ell, k = self.M, len(self.M), self.sigma.size
+        self.edge, self.L, self.free, self.D = edge, None, slice(None), M  # every coordinate free
+        if edge:  # O(k^2) in the edge's basis: u = P v
+            if tuple(edge) not in self.pencils:
+                self.pencils[tuple(edge)] = self._pencil(*edge)
+            self.P, Ta, self.dT, ca, dc = self.pencils[tuple(edge)]
+            mu = lam[edge[1]]
+            den = Ta + mu * self.dT
+            flat = den <= PENCIL_RTOL
+            self.inv = 1.0 / np.where(flat, 1.0, den)
+            v = (ca + mu * dc) * self.inv
+            if flat.any():  # directions unseen at mu take the quotient's limit in mu, along which g does not bend
+                self.inv[flat], v[flat] = 0.0, dc[flat] / self.dT[flat]
+            u, self.h = self.P @ v, self.dT * v - dc
+        else:
+            self.L = _cholesky((lam @ self.G.reshape(ell, -1)).reshape(k, k))
+            u = np.linalg.solve(self.L.T, np.linalg.solve(self.L, lam @ self.c))
+        x = self.V.T @ (u / self.sigma) * self.scale
+        if self.lim is not None and not np.all(np.abs(x) < self.lim):  # the user box binds: solve there in x's units
+            if self.boxed is None:  # the design in x's units, D_i = R_Ai / scale, its Grams and D_i^T beta_i
+                D = self.R[:, :, : x.size] / self.scale
+                self.boxed = D, (D.transpose(0, 2, 1) @ D).reshape(ell, -1), (self.beta[:, None, :] @ D)[:, 0]
+            self.D, grams, rhs = self.boxed  # J is read on the design in x's units
+            x, self.free, self.L = _box_qp((lam @ grams).reshape(x.size, x.size), lam @ rhs, self.lim, x)
+            u = self.sigma * (self.V @ x) / self.scale
+        self.r = M @ u - self.beta
+        return x, np.sum(self.r * self.r, axis=1)
+
+    def _half(self, J):
+        """L^-1 J on the point's free coordinates, for L L^T = A: diag(den)^-1/2 P^T J in an edge's basis."""
+        return np.sqrt(self.inv)[:, None] * (self.P.T @ J) if self.L is None else np.linalg.solve(self.L, J[self.free])
+
+    def curvature(self, S):
+        """(-g'', g''') on the edge S: h = P^T (J_b - J_a) = dT v - dc, h' = -dT h / den in its basis; g''' 0 off it."""
+        if self.L is None and S == self.edge:
+            q = self.h * self.h * self.inv
+            return 2.0 * float(q.sum()), 6.0 * float((self.dT * self.inv) @ q)
+        y = self._half((self.D[S[1]].T @ self.r[S[1]] - self.D[S[0]].T @ self.r[S[0]])[:, None])
+        return 2.0 * float((y * y).sum()), 0.0  # no third derivative off the basis: a Newton step
+
+    def root(self, S):
+        """W = L^-1 J_S: the Hessian on S's face is -2 W^T W."""
+        return self._half(np.einsum("ijk,ij->ik", self.D[S], self.r[S]).T)
+
+    def bound(self, x, lam, cost):  # a lower bound on the optimum, in ``scale``'s units
+        return _certified_bound(self, x, lam, cost)
 
 
-def _scaled_l2(data, labels, delta) -> _ScaledL2:
-    """``_ScaledL2`` from ``_stacked_fit``; a ``delta`` of None sets no box.
-
-    ``cert`` is R_A, |R_A| and b in extended precision, U, s and V cut to m >= k, low and tail. LAPACK's SVD is
-    exact for a design within nu = 4 rows eps s_0 of R_A: singular values up to 2 nu are read as zero, R_A's m
-    others are at least low = s_m - nu, and what is read as zero is at most tail = s_m+1 + nu.
-    """
-    d = data.d
-    R, U, s, V, k, seed = _stacked_fit(data, labels)
-    bmax = float(np.linalg.norm(R[:, :, d], axis=1).max())  # max_i ||b_i||
-    start = seed if delta is None else np.clip(seed, -INTERIOR * delta, INTERIOR * delta)
-    scale = float(np.linalg.norm(R[:, :, :d] @ start - R[:, :, d], axis=1).max())
-    unit = scale if scale > 0.0 else 1.0  # an exact fit returns before the scaled problem is read
-    # an exact fit's residual is the rounding of A x - b, about (d + 1) eps ||A||_F ||x|| at most
-    fit = 1e-12 * bmax + 4.0 * (d + 1) * math.ulp(1.0) * np.linalg.norm(s[:k]) * np.linalg.norm(start)
-    nu = 4.0 * len(U) * math.ulp(1.0) * s[0]
-    m = max(k, int(np.sum(s > 2.0 * nu)))
-    low, tail = s[m - 1] - nu if m else math.inf, s[m] + nu if m < d else 0.0  # a zero design: 0 is a minimiser
-    wide = R.reshape(-1, d + 1).astype(np.longdouble)
-    cert = (wide[:, :d], np.abs(wide[:, :d]), wide[:, d], U[:, :m], s[:m], V[:m], low, tail)
-    return _ScaledL2(U[:, :k].reshape(data.ell, d + 1, k), R[:, :, d] / unit, s[:k], V[:k], start, scale, fit, cert)
-
-
-def _certified_bound(p: _ScaledL2, x: np.ndarray, lam: np.ndarray, cost: float) -> float:
+def _certified_bound(p: _WhitenedL2, x: np.ndarray, lam: np.ndarray, cost: float) -> float:
     """A lower bound on the scaled optimum from multipliers ``lam`` >= 0 at x, where some point costs ``cost``.
 
     z_i = lam_i (A_i x - b_i) on R_A gives max_i ||A_i x' - b_i|| sum_i ||z_i||
@@ -269,185 +349,106 @@ def _box_qp(A: np.ndarray, rhs: np.ndarray, lim: np.ndarray, u: np.ndarray):
     return u, free, L
 
 
-def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
-    """min max_i ||A_i x - b_i|| over the box, by an active-set Newton ascent on its Lagrange dual.
+def _edge_step(oracle, S, lam, f, brackets, spent):
+    """The edge S's next lam, or None where its search stops; narrows the edge's bracket, kept for the run."""
+    a, b = S
+    mu, slope, top = lam[b], float(f[b] - f[a]), float(f.max())
+    lo, hi = brackets.get((a, b), (0.0, 1.0))
+    if slope > 0.0:  # the maximiser lies strictly past mu, so a vertex at mu is ruled out
+        lo = max(lo, math.nextafter(mu, math.inf))
+    else:
+        hi = min(hi, math.nextafter(mu, -math.inf))
+    brackets[a, b] = lo, hi
+    if abs(slope) <= SLOPE_RTOL * top or lo > hi or top > max(f[a], f[b]) or spent:
+        return None
+    if mu == 0.0 or mu == 1.0:  # g' is steepest at a vertex, where Newton steps creep: bisect away from it
+        point = 0.5 * (lo + hi)
+    else:
+        bend, twist = oracle.curvature(S)
+        newton = mu + slope / bend if bend > 0.0 else math.copysign(math.inf, slope)
+        denom = 2.0 * bend * bend - slope * twist
+        halley = mu + 2.0 * slope * bend / denom if denom > 0.0 else newton
+        inside = [x for x in (halley, newton) if lo <= x <= hi]
+        # Halley's step, else Newton's; out of the bracket, to a vertex it still holds, else to its midpoint
+        held = 0.0 if newton < lo and lo == 0.0 else 1.0 if newton > hi and hi == 1.0 else 0.5 * (lo + hi)
+        point = inside[0] if inside else held
+    nxt = np.zeros(lam.size)
+    nxt[a], nxt[b] = 1.0 - point, point
+    return nxt
 
-    The problem does not change under x = T u for an invertible T, so it is
-    solved in ``p``'s whitened units, whose stacked M has orthonormal columns:
-    no solve squares A's condition number. With f_i(u) = ||M_i u - beta_i||^2,
-    the dual max_lam g(lam) = min_u sum_i lam_i f_i over the simplex is
-    concave with no duality gap (Boyd & Vandenberghe, *Convex Optimization*,
-    ch. 5). u solves A u = sum_i lam_i c_i, A = sum_i lam_i G_i, with
-    G_i = M_i^T M_i and c_i = M_i^T beta_i; then dg/dlam_i = f_i(u), and the
-    Hessian is -2 J^T A^-1 J, J = [M_i^T r_i]_i. The ascent starts at uniform
-    lam (u is the stacked seed), or, past k + 1 groups for the rank k, where
-    that Hessian is singular, at the seed's worst group's vertex. Each step
-    adds the worst group outside the support S if it is worse than all of S,
-    then moves on S's face. Where a user box binds, ``_box_qp`` solves the
-    point in x's units on D_i = R_Ai / scale, with J = [D_i^T r_i] on its free
-    coordinates. The default box needs no check: each x = scale V^T (u / sigma)
-    lies in A's row space, and ``best`` costs at most the seed, <= ||b||, so
-    ||A x|| <= (sqrt(ell) + 1) ||b|| <= ell max_i ||b_i||_1 + ||b||: x lies in
-    the r* ball.
 
-    An edge, lam = (1 - mu) e_a + mu e_b, as on two groups, is searched in the
-    eigenbasis of its pencil (Golub & Van Loan, *Matrix Computations*, 8.7),
-    factored once per edge: P^T (G_a + G_b) P = I (on two groups G_a + G_b = I)
-    and P^T G_b P = diag(theta), so u = P ((c'_a + mu (c'_b - c'_a)) / den)
-    with c' = P^T c and den = 1 - theta + mu (2 theta - 1), and g'' and g'''
-    cost O(k). A singular base takes ``_cholesky``'s shift; a den entry below
-    PENCIL_RTOL, a direction the group at a vertex does not see, takes the
-    quotient's limit in mu. The steps are Halley's, else Newton's, kept in a
-    bracket on g' = f_b - f_a = 0; out of it, a step goes to a vertex that no
-    point has ruled out, else, as from a vertex, to the midpoint. The search
-    stops where the slope falls to SLOPE_RTOL of the largest f_i, where the
-    bracket empties (as at a vertex whose slope points out of the edge), where
-    a group outside the edge is worse than both, or when the budget is spent;
-    only that point is certified. Larger faces take ``face_step``'s damped
-    Newton step up to the first weight it zeroes, whose group leaves S; a step
-    that g rises along by less than an Armijo fraction is retried with ten
-    times the damping. Every face point is certified.
+def _face_step(lam, f, W, S, tau):
+    """(next lam, predicted rise, tau): the Newton step on S's face in the basis e_k - e_s0, -2 W^T W the Hessian.
 
-    ``iterations`` counts solves: each edge point, each face point and each
-    retried face step. ``_certified_bound`` bounds R_A's optimum over all x,
-    the rank cut's directions too. The ascent stops at a gap of ``eps``, or of
-    GAP_FLOOR relative, after ``max_iters`` solves, or when it stalls (an
-    edge's search ends short of the gap, lam stops changing, no step rises),
-    as when a user box cuts off every minimiser. An exact fit returns at once.
+    tau damps it towards the projected gradient, more while it would lower the added group's zero weight.
     """
-    p = _scaled_l2(data, labels, delta)
-    if p.scale <= p.fit:  # an exact fit: nothing to scale the costs by
-        return _solution(data, labels, p.start, 0, "dual-newton", "l2", 0.0)  # the trivial bound OPT >= 0
-    M, beta, ell, k = p.M, p.beta, data.ell, p.sigma.size
-    lim = None if delta is None else np.full(data.d, delta * (1.0 - 1e-12))  # inside the box after rounding
-    G = M.transpose(0, 2, 1) @ M
-    c = (beta[:, None, :] @ M)[:, 0]
+    Z, g = W[:, 1:] - W[:, :1], f[S[1:]] - f[S[0]]
+    K = 2.0 * Z.T @ Z
+    scale = float(K.trace()) / len(g)
+    if scale == 0.0:  # no curvature, as where the point is fixed whatever lam: the projected gradient
+        scale, tau = float(np.abs(g).max()), max(tau, 1.0)
+    for _ in range(20):  # the damping's floor sends directions without curvature to the face's edge
+        theta = np.linalg.lstsq(K + max(tau, 1e-12) * scale * (np.eye(len(g)) + 1.0), g, rcond=None)[0]
+        step = np.zeros(lam.size)
+        step[S[1:]], step[S[0]] = theta, -theta.sum()
+        if all(lam[i] > 0.0 or step[i] >= 0.0 for i in S):
+            break
+        tau = max(10.0 * tau, 1e-3)
+    down = step < 0.0
+    ratio = lam[down] / -step[down]
+    alpha = min(1.0, float(ratio.min())) if down.any() else 1.0
+    nxt = np.maximum(lam + alpha * step, 0.0)
+    nxt[np.flatnonzero(down)[ratio <= alpha * (1.0 + 1e-9)]] = 0.0  # what the ratio test zeroes, up to rounding
+    return nxt, alpha * float(f @ step), tau
 
-    def pencil(a, b):
-        """(P, 1 - theta, 2 theta - 1, c'_a, c'_b - c'_a) of the edge (1 - mu) e_a + mu e_b."""
-        H = np.linalg.inv(_cholesky(G[a] + G[b]))
-        B = H @ M[b].T
-        theta, Q = np.linalg.eigh(B @ B.T)
-        theta = np.clip(theta, 0.0, 1.0)
-        P = H.T @ Q
-        ca = P.T @ c[a]
-        return P, 1.0 - theta, 2.0 * theta - 1.0, ca, P.T @ c[b] - ca
 
-    def half(J):
-        """L^-1 J on the current point's free coordinates, for L L^T = A: diag(den)^-1/2 P^T J in an edge's basis."""
-        return np.sqrt(inv)[:, None] * (P.T @ J) if L is None else np.linalg.solve(L, J[free])
+def _ascend(oracle, eps, max_iters):
+    """(best point, solves, lower bound): an active-set Newton ascent on a concave dual g over the simplex of group
+    weights lam. It reads the problem only through ``oracle``: ``weights``, ``start``, ``scale``, ``point``,
+    ``root``, ``curvature`` and ``bound``, as ``_WhitenedL2`` defines them.
 
-    def curvature(S, r):
-        """(-g''(mu), g'''(mu)) on the edge S: in its basis h = P^T (J_b - J_a) = dT v - dc and h' = -dT h / den."""
-        if L is None and S == edge:
-            q = h * h * inv
-            return 2.0 * float(q.sum()), 6.0 * float((dT * inv) @ q)
-        y = half((D[S[1]].T @ r[S[1]] - D[S[0]].T @ r[S[0]])[:, None])
-        return 2.0 * float((y * y).sum()), 0.0  # no third derivative off the basis: a Newton step
-
-    def edge_step(S, lam, f, r):
-        """The edge's next lam, or None where its search stops; narrows the edge's bracket, kept for the run."""
-        a, b = S
-        mu, slope, top = lam[b], float(f[b] - f[a]), float(f.max())
-        lo, hi = brackets.get((a, b), (0.0, 1.0))
-        if slope > 0.0:  # the maximiser lies strictly past mu, so a vertex at mu is ruled out
-            lo = max(lo, math.nextafter(mu, math.inf))
-        else:
-            hi = min(hi, math.nextafter(mu, -math.inf))
-        brackets[a, b] = lo, hi
-        if abs(slope) <= SLOPE_RTOL * top or lo > hi or top > max(f[a], f[b]) or steps >= max_iters:
-            return None
-        if mu == 0.0 or mu == 1.0:  # g' is steepest at a vertex, where Newton steps creep: bisect away from it
-            point = 0.5 * (lo + hi)
-        else:
-            bend, twist = curvature(S, r)
-            newton = mu + slope / bend if bend > 0.0 else math.copysign(math.inf, slope)
-            denom = 2.0 * bend * bend - slope * twist
-            halley = mu + 2.0 * slope * bend / denom if denom > 0.0 else newton
-            inside = [x for x in (halley, newton) if lo <= x <= hi]
-            # Halley's step, else Newton's; out of the bracket, to a vertex it still holds, else to its midpoint
-            held = 0.0 if newton < lo and lo == 0.0 else 1.0 if newton > hi and hi == 1.0 else 0.5 * (lo + hi)
-            point = inside[0] if inside else held
-        nxt = np.zeros(ell)
-        nxt[a], nxt[b] = 1.0 - point, point
-        return nxt
-
-    def face_step(lam, f, W, S, tau):
-        """(next lam, predicted rise, tau): the Newton step on S's face in the basis e_k - e_s0, W = L^-1 J_S.
-
-        tau damps it towards the projected gradient, more while it would lower the added group's zero weight.
-        """
-        Z, g = W[:, 1:] - W[:, :1], f[S[1:]] - f[S[0]]
-        K = 2.0 * Z.T @ Z
-        scale = float(K.trace()) / len(g)
-        if scale == 0.0:  # the box fixes every coordinate: no curvature, so the projected gradient
-            scale, tau = float(np.abs(g).max()), max(tau, 1.0)
-        for _ in range(20):  # the damping's floor sends directions without curvature to the face's edge
-            theta = np.linalg.lstsq(K + max(tau, 1e-12) * scale * (np.eye(len(g)) + 1.0), g, rcond=None)[0]
-            step = np.zeros(ell)
-            step[S[1:]], step[S[0]] = theta, -theta.sum()
-            if all(lam[i] > 0.0 or step[i] >= 0.0 for i in S):
-                break
-            tau = max(10.0 * tau, 1e-3)
-        down = step < 0.0
-        ratio = lam[down] / -step[down]
-        alpha = min(1.0, float(ratio.min())) if down.any() else 1.0
-        nxt = np.maximum(lam + alpha * step, 0.0)
-        nxt[np.flatnonzero(down)[ratio <= alpha * (1.0 + 1e-9)]] = 0.0  # what the ratio test zeroes, up to rounding
-        return nxt, alpha * float(f @ step), tau
-
-    lam, S = np.full(ell, 1.0 / ell), list(range(ell))
-    if ell > k + 1:  # the Hessian is singular at uniform lam: start at the vertex of the seed's worst group
-        S = [int(np.linalg.norm(M @ (p.sigma * (p.V @ p.start)) / p.scale - beta, axis=1).argmax())]
-        lam = np.eye(ell)[S[0]]
-    steps, lower, cost, best = 0, 0.0, 1.0, p.start  # every cost is a norm, so OPT >= 0; the start costs 1
-    brackets, pencils, tau, boxed = {}, {}, 0.0, None
-    face = None  # a face step's (lam, g, f, W, rise) while its trial point is solved
+    From ``oracle.weights``, each step adds the worst group outside the support
+    S if it is worse than all of S, then moves on S's face. An edge,
+    lam = (1 - mu) e_a + mu e_b, takes Halley's steps, else Newton's,
+    kept in a bracket on g' = f_b - f_a = 0; out of it, a step goes to a vertex
+    that no point has ruled out, else, as from a vertex, to the midpoint. The
+    search stops where the slope falls to SLOPE_RTOL of the largest f_i, where
+    the bracket empties (as at a vertex whose slope points out of the edge),
+    where a group outside the edge is worse than both, or when the budget is
+    spent; only that point is certified. Larger faces take ``_face_step``'s
+    damped Newton step up to the first weight it zeroes, whose group leaves S;
+    a step that g rises along by less than an Armijo fraction is retried with
+    ten times the damping. Every face point is certified. Each point and each
+    retried step counts as a solve. The ascent stops at a gap of ``eps`` in
+    ``oracle.scale``'s units, or of GAP_FLOOR relative, after ``max_iters``
+    solves, or when it stalls (an edge's search ends short of the gap, lam
+    stops changing, no step rises).
+    """
+    lam = oracle.weights
+    ell, S = lam.size, [i for i in range(lam.size) if lam[i] > 0.0]
+    steps, lower, cost, best = 0, 0.0, 1.0, oracle.start  # every cost is a norm, so OPT >= 0; the start costs 1
+    brackets, tau, face = {}, 0.0, None  # face: a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
-        edge, L, free, D = (list(S) if len(S) == 2 else None), None, slice(None), M  # every coordinate free
-        if edge:  # O(k^2) in the edge's basis: u = P v
-            if tuple(S) not in pencils:
-                pencils[tuple(S)] = pencil(*S)
-            P, Ta, dT, ca, dc = pencils[tuple(S)]
-            mu = lam[S[1]]
-            den = Ta + mu * dT
-            flat = den <= PENCIL_RTOL
-            inv = 1.0 / np.where(flat, 1.0, den)
-            v = (ca + mu * dc) * inv
-            if flat.any():  # directions unseen at mu take the quotient's limit in mu, along which g does not bend
-                inv[flat], v[flat] = 0.0, dc[flat] / dT[flat]
-            u, h = P @ v, dT * v - dc
-        else:
-            L = _cholesky((lam @ G.reshape(ell, -1)).reshape(k, k))
-            u = np.linalg.solve(L.T, np.linalg.solve(L, lam @ c))
-        x = p.V.T @ (u / p.sigma) * p.scale
-        if lim is not None and not np.all(np.abs(x) < lim):  # the user box binds: solve there in x's units
-            if boxed is None:  # the design in x's units, D_i = R_Ai / scale, its Grams and D_i^T beta_i
-                Dx = labels.augmented_r(data)[:, :, : data.d] / p.scale
-                boxed = Dx, (Dx.transpose(0, 2, 1) @ Dx).reshape(ell, -1), (beta[:, None, :] @ Dx)[:, 0]
-            D = boxed[0]  # J is read on the design in x's units
-            x, free, L = _box_qp((lam @ boxed[1]).reshape(data.d, data.d), lam @ boxed[2], lim, x)
-            u = p.sigma * (p.V @ x) / p.scale
-        r = M @ u - beta
-        f = np.sum(r * r, axis=1)
+        edge = list(S) if len(S) == 2 else None
+        x, f = oracle.point(lam, edge)
         worst = math.sqrt(float(f.max()))
         if worst < cost:
             cost, best = worst, x
         if edge:
-            nxt = edge_step(S, lam, f, r)
+            nxt = _edge_step(oracle, S, lam, f, brackets, steps >= max_iters)
             if nxt is not None:
                 lam = nxt
                 continue
-        lower = max(lower, _certified_bound(p, x, lam, cost))
-        if (cost - lower) * p.scale <= eps or cost - lower <= GAP_FLOOR * cost:
+        lower = max(lower, oracle.bound(x, lam, cost))
+        if (cost - lower) * oracle.scale <= eps or cost - lower <= GAP_FLOOR * cost:
             break
         if face is not None:  # keep the trial point if g rose enough, else retry with more damping
             base, g0, fb, W, rise = face
             if float(lam @ f) - g0 >= 1e-4 * rise:
                 face, tau, S = None, 0.25 * tau, [i for i in S if lam[i] > 0.0]
             else:
-                lam, rise, tau = face_step(base, fb, W, S, max(10.0 * tau, 1e-3))
+                lam, rise, tau = _face_step(base, fb, W, S, max(10.0 * tau, 1e-3))
                 if not rise > 1e-15 * abs(g0):
                     break  # no step rises at working precision
                 face = (base, g0, fb, W, rise)
@@ -459,17 +460,26 @@ def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
             if f[j] > f[S].max():
                 S.append(j)
         if len(S) >= 3:
-            W = half(np.einsum("ijk,ij->ik", D[S], r[S]).T)
-            nxt, rise, tau = face_step(lam, f, W, S, tau)
+            W = oracle.root(S)
+            nxt, rise, tau = _face_step(lam, f, W, S, tau)
             if not rise > 0.0 or np.array_equal(nxt, lam):
                 break  # lam no longer changes
             face, lam = (lam, float(lam @ f), f, W, rise), nxt
             continue
         if len(S) == 1 or S == edge:
             break  # a vertex, or an edge whose search has ended, that no group outside beats
-        lam = edge_step(S, lam, f, r)  # a new edge's first step, from this point
+        lam = _edge_step(oracle, S, lam, f, brackets, steps >= max_iters)  # a new edge's first step, from this point
         if lam is None:
             break
+    return best, steps, lower
+
+
+def _minmax_l2(data, labels, eps, max_iters, delta) -> RegressionSolution:
+    """min max_i ||A_i x - b_i|| over the box by ``_ascend`` on ``_WhitenedL2``; an exact fit returns at once."""
+    p = _WhitenedL2(data, labels, delta)
+    if p.scale <= p.fit:  # an exact fit: nothing to scale the costs by
+        return _solution(data, labels, p.start, 0, "dual-newton", "l2", 0.0)  # the trivial bound OPT >= 0
+    best, steps, lower = _ascend(p, eps, max_iters)
     return _solution(data, labels, best, steps, "dual-newton", "l2", lower * p.scale)
 
 
