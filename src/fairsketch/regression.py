@@ -11,8 +11,10 @@ hence convex, so three complementary routes are provided:
   gap. Its default delta, ``default_box_radius``, is proven to hold a
   minimiser and scales with the data. L2 is solved for every group count by
   an active-set Newton ascent on its concave Lagrange dual over the simplex
-  of group weights, in the orthonormal basis of one SVD of the stacked
-  design, each edge searched in one eigendecomposition of its pencil. L1 is
+  of group weights: ``_ascend`` knows only the simplex and reads the problem
+  through an oracle, ``_WhitenedL2``, which works in the orthonormal basis
+  of one SVD of the stacked design and solves each edge in one
+  eigendecomposition of its pencil. L1 is
   a linear program, solved by Mehrotra's primal-dual interior-point method
   on a (d+1)x(d+1) Schur complement.
 * feasibility exports -- the question "is max_i ||A_i x - b_i|| <= L
@@ -211,7 +213,7 @@ class _WhitenedL2:
         self.weights = np.full(ell, 1.0 / ell) if ell <= k + 1 else np.eye(ell)[int(np.linalg.norm(
             self.M @ (self.sigma * (self.V @ self.start)) / unit - self.beta, axis=1).argmax())]
         self.lim = None if delta is None else np.full(d, delta * (1.0 - 1e-12))  # inside the box after rounding
-        self.R, self.boxed, self.pencils = R, None, {}
+        self.delta, self.R, self.boxed, self.pencils = delta, R, None, {}
 
     def _pencil(self, a, b):
         """(P, 1 - theta, 2 theta - 1, c'_a, c'_b - c'_a) of the edge (1 - mu) e_a + mu e_b."""
@@ -229,7 +231,7 @@ class _WhitenedL2:
         The point's factor stays for ``curvature`` and ``root``.
         """
         M, ell, k = self.M, len(self.M), self.sigma.size
-        self.edge, self.L, self.free, self.D = edge, None, slice(None), M  # every coordinate free
+        self.edge, self.L, self.free, self.D, self.grad = edge, None, slice(None), M, None  # every coordinate free
         if edge:  # O(k^2) in the edge's basis: u = P v
             if tuple(edge) not in self.pencils:
                 self.pencils[tuple(edge)] = self._pencil(*edge)
@@ -251,10 +253,13 @@ class _WhitenedL2:
                 D = self.R[:, :, : x.size] / self.scale
                 self.boxed = D, (D.transpose(0, 2, 1) @ D).reshape(ell, -1), (self.beta[:, None, :] @ D)[:, 0]
             self.D, grams, rhs = self.boxed  # J is read on the design in x's units
-            x, self.free, self.L = _box_qp((lam @ grams).reshape(x.size, x.size), lam @ rhs, self.lim, x)
+            A, b = (lam @ grams).reshape(x.size, x.size), lam @ rhs
+            x, self.free, self.L = _box_qp(A, b, self.lim, x)
+            self.grad = A @ x - b  # half the gradient of sum_i lam_i f_i in x's units
             u = self.sigma * (self.V @ x) / self.scale
         self.r = M @ u - self.beta
-        return x, np.sum(self.r * self.r, axis=1)
+        self.f = np.sum(self.r * self.r, axis=1)
+        return x, self.f
 
     def _half(self, J):
         """L^-1 J on the point's free coordinates, for L L^T = A: diag(den)^-1/2 P^T J in an edge's basis."""
@@ -272,8 +277,19 @@ class _WhitenedL2:
         """W = L^-1 J_S: the Hessian on S's face is -2 W^T W."""
         return self._half(np.einsum("ijk,ij->ik", self.D[S], self.r[S]).T)
 
-    def bound(self, x, lam, cost):  # a lower bound on the optimum, in ``scale``'s units
-        return _certified_bound(self, x, lam, cost)
+    def bound(self, x, lam, cost):
+        """Lower bounds on the optimum over all x (``_certified_bound``'s) and over the box, in ``scale``'s units.
+
+        Where a user box binds, min over the box of q = sum_i lam_i f_i bounds the box's optimum squared, and so does
+        q's linearisation at x where it is least on the box: q(x) - 2 (grad^T x + delta ||grad||_1), for ``grad`` half
+        q's gradient. That is q(x) at the box's minimiser, up to rounding, and it holds at points short of it too, as
+        where ``_cholesky`` shifts a singular Gram matrix.
+        """
+        low = _certified_bound(self, x, lam, cost)
+        if self.grad is None:
+            return low, low
+        q = float(lam @ self.f) - 2.0 * float(self.grad @ x + self.delta * np.abs(self.grad).sum())
+        return low, max(low, math.sqrt(max(q, 0.0)))
 
 
 def _certified_bound(p: _WhitenedL2, x: np.ndarray, lam: np.ndarray, cost: float) -> float:
@@ -419,14 +435,15 @@ def _ascend(oracle, eps, max_iters):
     damped Newton step up to the first weight it zeroes, whose group leaves S;
     a step that g rises along by less than an Armijo fraction is retried with
     ten times the damping. Every face point is certified. Each point and each
-    retried step counts as a solve. The ascent stops at a gap of ``eps`` in
-    ``oracle.scale``'s units, or of GAP_FLOOR relative, after ``max_iters``
-    solves, or when it stalls (an edge's search ends short of the gap, lam
-    stops changing, no step rises).
+    retried step counts as a solve. The returned bound is the best of the
+    first ones ``bound`` gives; the stop reads the second, on the feasible set.
+    The ascent stops at a gap of ``eps`` in ``oracle.scale``'s units, or of
+    GAP_FLOOR relative, after ``max_iters`` solves, or when it stalls (an
+    edge's search ends short of the gap, lam stops changing, no step rises).
     """
     lam = oracle.weights
     ell, S = lam.size, [i for i in range(lam.size) if lam[i] > 0.0]
-    steps, lower, cost, best = 0, 0.0, 1.0, oracle.start  # every cost is a norm, so OPT >= 0; the start costs 1
+    steps, lower, held, cost, best = 0, 0.0, 0.0, 1.0, oracle.start  # every cost is a norm, so OPT >= 0
     brackets, tau, face = {}, 0.0, None  # face: a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
@@ -440,8 +457,9 @@ def _ascend(oracle, eps, max_iters):
             if nxt is not None:
                 lam = nxt
                 continue
-        lower = max(lower, oracle.bound(x, lam, cost))
-        if (cost - lower) * oracle.scale <= eps or cost - lower <= GAP_FLOOR * cost:
+        low, feasible = oracle.bound(x, lam, cost)
+        lower, held = max(lower, low), max(held, feasible)
+        if (cost - held) * oracle.scale <= eps or cost - held <= GAP_FLOOR * cost:
             break
         if face is not None:  # keep the trial point if g rose enough, else retry with more damping
             base, g0, fb, W, rise = face

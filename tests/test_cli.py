@@ -305,6 +305,21 @@ def test_regress_ends_at_a_vertex_optimum_in_few_points(tmp_path, capsys):
     assert "max cost: 2.44972" in out and "certified lower bound: 2.44972" in out
 
 
+def test_regress_finds_the_smallest_ball_about_five_points(tmp_path, capsys):
+    # group i is the point c_i as rows (1, 0 | x) and (0, 1 | y): A_i = I and b_i = c_i, so the solve finds the
+    # smallest ball about the unit square's corners and centre, from the vertex start (ell = 5 > d + 1)
+    points = {"m1": (0, 0), "m2": (1, 0), "m3": (0, 1), "m4": (1, 1), "m5": (0.5, 0.5)}
+    rows = [f"1,0,{x},{name}\n0,1,{y},{name}" for name, (x, y) in points.items()]
+    path = tmp_path / "ball.csv"
+    path.write_text("a,b,y,grp\n" + "\n".join(rows) + "\n")
+    rc = main(["regress", str(path), "--group-col", "grp", "--features", "a,b", "--label-col", "y", "--eps", "1e-9"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    (iterations,) = re.findall(r"method: dual-newton \(l2\), iterations: (\d+)", out)
+    assert int(iterations) <= 4
+    assert "max cost: 0.707107" in out and "certified lower bound: 0.707107" in out
+
+
 def test_byte_order_mark_csv_runs(tmp_path, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfSEX,a,b\n1,1.0,2.0\n2,3.0,1.0\n")

@@ -495,6 +495,120 @@ class TestManyGroups:
             assert sol.max_cost - sol.gap <= two_group_l2_minmax(groups, targets), f"instance {i}"
 
 
+BALLS = [  # (centres, radius) of the smallest ball about the points c_i, its closed form
+    ([(0, 0), (4, 0), (1, 1)], 2.0),  # an obtuse triangle: the long side's midpoint, an edge optimum
+    ([(0, 0), (4, 0), (2, 3)], 13 / 6),  # an acute one: the circumcentre, on the face of all three
+    ([(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)], math.sqrt(0.5)),  # ell = 5 > k + 1: the vertex start
+    ([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (0.1, 0.2, 0)], math.sqrt(3)),  # a regular tetrahedron
+    ([(math.cos(t), math.sin(t)) for t in np.arange(6) * math.pi / 3], 1.0),  # a regular hexagon
+    ([(2.0, -1.0)], 0.0),
+]
+
+
+def ball(centres):
+    """Groups A_i = I_d, b_i = c_i: max_i ||x - c_i||, the radius of the ball about x through the farthest c_i."""
+    C = np.asarray(centres, dtype=float)
+    return make([np.eye(C.shape[1])] * len(C), list(C))
+
+
+def clouds(count):
+    """Point clouds of 2-39 points in d = 1..5, standard normals times 10^U(-3, 3)."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        ell, d = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+        yield rng.standard_normal((ell, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+class TestSmallestBall:
+    """With every A_i = I_d and b_i = c_i, the L2 solve finds the smallest ball about the points c_i."""
+
+    @pytest.mark.parametrize("centres, radius", BALLS)
+    def test_closed_form_radii(self, centres, radius):
+        sol = minmax_subgradient(*ball(centres), eps=1e-12)
+        assert sol.max_cost == pytest.approx(radius, rel=1e-12, abs=1e-12)
+        assert sol.gap <= 1e-12 * max(radius, 1.0) and sol.iterations <= 4
+
+    def test_random_clouds(self):
+        for i, C in enumerate(clouds(300)):
+            sol = minmax_subgradient(*ball(C), eps=1e-12)
+            far = float(np.linalg.norm(C - sol.x, axis=1).max())
+            assert sol.max_cost == pytest.approx(far, rel=1e-9), f"cloud {i}"
+            assert sol.gap <= 1e-9 * sol.max_cost and sol.iterations <= 10, f"cloud {i}"
+
+
+class BallOracle:
+    """``regression._ascend``'s oracle for the smallest ball about the rows c_i of C, with nothing of regression.
+
+    At lam the centre u = lam C minimises g(lam) = sum_i lam_i ||u - c_i||^2 = sum_i lam_i ||c_i||^2 - ||lam C||^2,
+    so -g'' = 2 ||c_a - c_b||^2 on an edge, the Hessian on a face is -2 W^T W with W = r_S^T, and sqrt(g) bounds the
+    radius. Costs are read in units of the start's radius, the centroid's; the ascent starts at the farthest point.
+    """
+
+    def __init__(self, C):
+        self.C, self.start = C, C.mean(axis=0)
+        far = np.linalg.norm(C - self.start, axis=1)
+        self.scale, self.weights = float(far.max()), np.eye(len(C))[int(far.argmax())]
+
+    def point(self, lam, edge):
+        u = lam @ self.C
+        self.r = (u - self.C) / self.scale
+        self.f = np.sum(self.r * self.r, axis=1)
+        return u, self.f
+
+    def curvature(self, S):
+        return 2.0 * float(np.sum((self.C[S[1]] - self.C[S[0]]) ** 2)) / self.scale**2, 0.0
+
+    def root(self, S):
+        return self.r[S].T
+
+    def bound(self, x, lam, cost):
+        return (math.sqrt(float(lam @ self.f)),) * 2
+
+
+class TestAscentSeam:
+    """``_ascend`` reads its problem only through the oracle: a smallest-ball oracle drives it without regression."""
+
+    @pytest.mark.parametrize("centres, radius", BALLS[:-1])
+    def test_ball_oracle_reaches_closed_form_radii(self, centres, radius):
+        C = np.asarray(centres, dtype=float)
+        oracle = BallOracle(C)
+        best, steps, lower = regression._ascend(oracle, 1e-12, 100)
+        assert float(np.linalg.norm(C - best, axis=1).max()) == pytest.approx(radius, rel=1e-11)
+        assert lower * oracle.scale <= radius * (1.0 + 1e-12) and steps <= 4
+
+    def test_ball_oracle_agrees_with_the_l2_solve(self):
+        for i, C in enumerate(clouds(200)):
+            best, _, _ = regression._ascend(BallOracle(C), 1e-12, 100)
+            sol = minmax_subgradient(*ball(C), eps=1e-12)
+            assert float(np.linalg.norm(C - best, axis=1).max()) == pytest.approx(sol.max_cost, rel=1e-9), f"cloud {i}"
+
+
+class TestUserBox:
+    """Where a user box binds, the stop also reads the box dual's bound; ``gap`` still bounds the optimum over all x."""
+
+    @pytest.mark.parametrize("groups, targets, box, optimum", [
+        ([[(0, 3)], [(0, 2)], [(-3, 0)]], [[-6], [-6], [4]], 2.0, 2.0),  # group 2 costs |2 x_2 + 6| >= 2 at x_2 = -2
+        ([[(2, 3)], [(0, -2)], [(3, 0), (2, 2)]], [[4], [-8], [3, -1]], 1.0, 6.0),  # group 2: |8 - 2 x_2| >= 6
+        ([[(3, 3), (-2, 1)], [(-3, 2)], [(0, -1)]], [[5, 1], [1], [-9]], 2.0, 7.0),  # group 3: |9 - x_2| >= 7
+    ])
+    def test_box_optimum_ends_by_its_bound(self, groups, targets, box, optimum):
+        # these took over 1000 solves, with overflow warnings, while the stop read only the bound over all x
+        data, labels = make([np.array(g, dtype=float) for g in groups], [np.array(t, dtype=float) for t in targets])
+        sol = minmax_subgradient(data, labels, eps=1e-9, box_delta=box)
+        assert sol.max_cost == pytest.approx(optimum, rel=1e-9) and sol.iterations <= 5
+        assert np.all(np.abs(sol.x) < box)
+        assert sol.max_cost - sol.gap <= minmax_subgradient(data, labels, eps=1e-9).max_cost  # over all x
+
+    def test_singular_support_in_the_box_returns_the_optimum(self):
+        # this raised "SVD did not converge in Linear Least Squares"; group 4 costs |2 - x_1| >= 1 at x_1 = 1
+        data, labels = make([np.array([[3.0, -2.0]]), np.array([[0.0, 0.0]]), np.array([[0.0, 2.0]]),
+                             np.array([[-1.0, 0.0]])], [np.array([3.0]), np.array([0.0]), np.array([-1.0]),
+                                                        np.array([-2.0])])
+        sol = minmax_subgradient(data, labels, eps=1e-9, box_delta=1.0)
+        assert sol.max_cost == pytest.approx(1.0, rel=1e-9)
+        assert np.all(np.abs(sol.x) < 1.0)
+
+
 def l1_lp_optimum(groups, targets) -> float:
     """HiGHS's optimum of min t s.t. -u <= A x - b <= u, sum_{G_i} u_j <= t, over (x, u, t)."""
     from scipy.optimize import linprog
