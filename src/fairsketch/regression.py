@@ -277,19 +277,21 @@ class _WhitenedL2:
         """W = L^-1 J_S: the Hessian on S's face is -2 W^T W."""
         return self._half(np.einsum("ijk,ij->ik", self.D[S], self.r[S]).T)
 
-    def bound(self, x, lam, cost):
-        """Lower bounds on the optimum over all x (``_certified_bound``'s) and over the box, in ``scale``'s units.
+    def feasible(self, x, lam):
+        """A lower bound on the box's optimum in ``scale``'s units from the point at lam, -inf where the box is free.
 
         Where a user box binds, min over the box of q = sum_i lam_i f_i bounds the box's optimum squared, and so does
         q's linearisation at x where it is least on the box: q(x) - 2 (grad^T x + delta ||grad||_1), for ``grad`` half
         q's gradient. That is q(x) at the box's minimiser, up to rounding, and it holds at points short of it too, as
         where ``_cholesky`` shifts a singular Gram matrix.
         """
-        low = _certified_bound(self, x, lam, cost)
         if self.grad is None:
-            return low, low
+            return -math.inf
         q = float(lam @ self.f) - 2.0 * float(self.grad @ x + self.delta * np.abs(self.grad).sum())
-        return low, max(low, math.sqrt(max(q, 0.0)))
+        return math.sqrt(max(q, 0.0))
+
+    def bound(self, x, lam, cost):  # a lower bound on the optimum over all x, in ``scale``'s units
+        return _certified_bound(self, x, lam, cost)
 
 
 def _certified_bound(p: _WhitenedL2, x: np.ndarray, lam: np.ndarray, cost: float) -> float:
@@ -421,7 +423,7 @@ def _face_step(lam, f, W, S, tau):
 def _ascend(oracle, eps, max_iters):
     """(best point, solves, lower bound): an active-set Newton ascent on a concave dual g over the simplex of group
     weights lam. It reads the problem only through ``oracle``: ``weights``, ``start``, ``scale``, ``point``,
-    ``root``, ``curvature`` and ``bound``, as ``_WhitenedL2`` defines them.
+    ``root``, ``curvature``, ``feasible`` and ``bound``, as ``_WhitenedL2`` defines them.
 
     From ``oracle.weights``, each step adds the worst group outside the support
     S if it is worse than all of S, then moves on S's face. An edge,
@@ -435,15 +437,16 @@ def _ascend(oracle, eps, max_iters):
     damped Newton step up to the first weight it zeroes, whose group leaves S;
     a step that g rises along by less than an Armijo fraction is retried with
     ten times the damping. Every face point is certified. Each point and each
-    retried step counts as a solve. The returned bound is the best of the
-    first ones ``bound`` gives; the stop reads the second, on the feasible set.
-    The ascent stops at a gap of ``eps`` in ``oracle.scale``'s units, or of
-    GAP_FLOOR relative, after ``max_iters`` solves, or when it stalls (an
-    edge's search ends short of the gap, lam stops changing, no step rises).
+    retried step counts as a solve. The ascent stops at a gap of ``eps`` in
+    ``oracle.scale``'s units, or of GAP_FLOOR relative, after ``max_iters``
+    solves, or when it stalls (an edge's search ends short of the gap, lam
+    stops changing, no step rises). The gap is read against ``bound``, the
+    returned bound, or against ``feasible``, a bound on the feasible set the
+    oracle may give at any point, which also ends an edge's search.
     """
     lam = oracle.weights
     ell, S = lam.size, [i for i in range(lam.size) if lam[i] > 0.0]
-    steps, lower, held, cost, best = 0, 0.0, 0.0, 1.0, oracle.start  # every cost is a norm, so OPT >= 0
+    steps, lower, held, cost, best = 0, 0.0, -math.inf, 1.0, oracle.start  # every cost is a norm, so OPT >= 0
     brackets, tau, face = {}, 0.0, None  # face: a face step's (lam, g, f, W, rise) while its trial point is solved
     while steps < max_iters:
         steps += 1
@@ -452,14 +455,15 @@ def _ascend(oracle, eps, max_iters):
         worst = math.sqrt(float(f.max()))
         if worst < cost:
             cost, best = worst, x
-        if edge:
+        held = max(held, oracle.feasible(x, lam))
+        done = (cost - held) * oracle.scale <= eps or cost - held <= GAP_FLOOR * cost
+        if edge and not done:
             nxt = _edge_step(oracle, S, lam, f, brackets, steps >= max_iters)
             if nxt is not None:
                 lam = nxt
                 continue
-        low, feasible = oracle.bound(x, lam, cost)
-        lower, held = max(lower, low), max(held, feasible)
-        if (cost - held) * oracle.scale <= eps or cost - held <= GAP_FLOOR * cost:
+        lower = max(lower, oracle.bound(x, lam, cost))
+        if done or (cost - lower) * oracle.scale <= eps or cost - lower <= GAP_FLOOR * cost:
             break
         if face is not None:  # keep the trial point if g rose enough, else retry with more damping
             base, g0, fb, W, rise = face
