@@ -499,7 +499,8 @@ BALLS = [  # (centres, radius) of the smallest ball about the points c_i, its cl
     ([(0, 0), (4, 0), (1, 1)], 2.0),  # an obtuse triangle: the long side's midpoint, an edge optimum
     ([(0, 0), (4, 0), (2, 3)], 13 / 6),  # an acute one: the circumcentre, on the face of all three
     ([(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)], math.sqrt(0.5)),  # ell = 5 > k + 1: the vertex start
-    ([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (0.1, 0.2, 0)], math.sqrt(3)),  # a regular tetrahedron
+    # a regular tetrahedron and a point inside it
+    ([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (0.1, 0.2, 0)], math.sqrt(3)),
     ([(math.cos(t), math.sin(t)) for t in np.arange(6) * math.pi / 3], 1.0),  # a regular hexagon
     ([(2.0, -1.0)], 0.0),
 ]
@@ -597,7 +598,7 @@ class TestUserBox:
         ([[(3, -2)], [(0, 0)], [(0, 2)], [(-1, 0)]], [[3], [0], [-1], [-2]], 1.0, 1.0),
     ])
     def test_box_optimum_ends_by_its_bound(self, groups, targets, box, optimum):
-        # these took over 1000 solves, with overflow warnings, while the stop read only the bound over all x
+        # the first three took over 1000 solves, with overflow warnings, while the stop read only the bound over all x
         data, labels = make([np.array(g, dtype=float) for g in groups], [np.array(t, dtype=float) for t in targets])
         sol = minmax_subgradient(data, labels, eps=1e-9, box_delta=box)
         assert sol.max_cost == pytest.approx(optimum, rel=1e-9) and sol.iterations <= 5
